@@ -205,16 +205,17 @@ def cmd_localize(args) -> int:
         return EXIT_OK
     flagged = False
     if args.check_convergence:
-        delta = localization.convergence_delta(args.family, args.theta, quad)
+        delta, pm = localization._convergence(args.family, args.theta, quad)
         flagged = delta > 1e-4
+    else:
+        pm = localization.pbar_matrix(args.family, args.theta, quad)
     if args.action == "pair":
-        val = localization.pbar_infinity_pair(args.family, args.theta, args.S,
-                                              args.Sprime, quad)
+        val = localization._pair_value(pm, args.S, args.Sprime)
         obj = {"family": args.family, "theta": args.theta, "S": args.S,
                "Sprime": args.Sprime, "quad_M": quad.M, "value": val,
                "converged": not flagged}
     else:
-        val = localization.pbar_infinity_total(args.family, args.theta, args.S, quad)
+        val = localization._total_value(pm, args.S)
         obj = {"family": args.family, "theta": args.theta, "S": args.S,
                "quad_M": quad.M, "value": val, "converged": not flagged}
     _emit(args, obj, ["field", "value"], [[k, json.dumps(v)] for k, v in obj.items()])

@@ -402,7 +402,7 @@ def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
     xs = np.arange(-half, half + 1)
     w = np.exp(2j * np.pi / N)
     ph = w ** np.outer(np.arange(N), xs)
-    amps = np.einsum("nms,nx,my->sxy", M, ph, ph) / N**2
+    amps = np.einsum("nms,nx,my->sxy", M, ph, ph, optimize=True) / N**2
     return WalkState(N, amps)
 
 

@@ -13,9 +13,10 @@ from coinwalk.localization import (
     sweep_theta,
     theorem36_check,
     theta_grid,
+    _FACTORS,
     _integrals,
 )
-from coinwalk.spectral import finite_N_pbar_matrix
+from coinwalk.spectral import c_table_p24y1, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
 
 QUICK = QuadratureSpec(64)
@@ -94,15 +95,60 @@ def test_x3_theta_zero_values():
         assert v == pytest.approx(want, abs=1e-8)
 
 
-def test_x3_generic_path_matches_y1_structure():
-    # cross-check the generic eigenvector quadrature against the p24y1
-    # closed-form table route on the family where both are available
-    from coinwalk.localization import _integral_matrix_generic, _integral_matrix_table
+def test_p24y1_kernel_matches_c_table_sums():
+    # the kernel's p24y1 integrals against midpoint sums of the closed-form
+    # class-sum table, normalized by 1/(8 pi^2) for the symmetrized sum
+    M = 96
+    xs = QuadratureSpec(M).nodes()
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     for theta in (0.8, -1.3):
         for k in (1, 2):
-            a = _integral_matrix_generic("p24y1", theta, 96, k).real
-            b = _integral_matrix_table(theta, 96, k)
-            assert np.abs(a - b).max() < 1e-10
+            want = np.array([[c_table_p24y1(a, b, k, theta, X, Y).sum() / (8 * M * M)
+                              for b in (1, 2, 3, 4)] for a in (1, 2, 3, 4)])
+            assert np.abs(_integrals("p24y1", theta, M, k) - want).max() < 1e-10
+
+
+def _integrals_matvec(family, theta, M, k):
+    """Direct form of the quadrature: each of the four momentum-sign
+    variants and each of the 16 pairs as its own bilinear form u_x^T K u_y."""
+    xs = QuadratureSpec(M).nodes()
+    lam = -1.0 if k == 1 else 1.0
+    e_pos = np.exp(1j * xs)
+    out = np.zeros((4, 4), dtype=complex)
+    for ex in (e_pos, np.conj(e_pos)):
+        for ey in (e_pos, np.conj(e_pos)):
+            px, qy = _FACTORS[family](theta, lam, ex, ey)
+            K = 1.0 / np.einsum("im,in->mn", np.abs(px) ** 2, np.abs(qy) ** 2)
+            for a in range(4):
+                for b in range(4):
+                    ux = px[a] * np.conj(px[b])
+                    uy = qy[a] * np.conj(qy[b])
+                    out[a, b] += ux @ K @ uy
+    return out / (4 * M * M)
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, -3.1, 0.0])
+def test_kernel_matches_matvec_quadrature(family, theta):
+    for k in (1, 2):
+        want = _integrals_matvec(family, theta, 64, k)
+        assert np.abs(want.imag).max() < 1e-14
+        assert np.abs(_integrals(family, theta, 64, k) - want.real).max() < 1e-14
+
+
+def test_kernel_row_blocks_match_matvec_quadrature():
+    # M = 600 splits the kernel into row blocks with a shorter last block
+    for k in (1, 2):
+        want = _integrals_matvec("x3", 2.2, 600, k).real
+        assert np.abs(_integrals("x3", 2.2, 600, k) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_integrals_symmetric(family):
+    for theta in (-2.4, 0.3, 1.7):
+        for k in (1, 2):
+            I = _integrals(family, theta, 64, k)
+            assert np.array_equal(I, I.T)
 
 
 def test_p34x1_totals_equal_across_chirality():
