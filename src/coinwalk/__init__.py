@@ -12,6 +12,7 @@ from .coins import (
     grover_coin,
     is_orthogonal,
     is_permutative,
+    is_unitary,
 )
 from .localization import (
     QuadratureSpec,
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Coin", "FamilyWitness", "NotOrthogonalError", "NotPermutativeError",
     "classify", "coin_from_theta", "coin_rational", "grover_coin",
-    "is_orthogonal", "is_permutative",
+    "is_orthogonal", "is_permutative", "is_unitary",
     "QuadratureSpec", "pbar_infinity_pair", "pbar_infinity_total",
     "sweep_theta", "theorem36_check",
     "decompose_linear_sum", "strongly_quadrangular", "theorem217_family",

@@ -225,7 +225,6 @@ def cmd_localize(args) -> int:
 def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--seed", type=int, default=0, help="rng seed for sampling commands")
 
 
 def build_parser() -> argparse.ArgumentParser:

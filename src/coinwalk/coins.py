@@ -1,11 +1,20 @@
 """Construction and classification of 4x4 permutative orthogonal matrices.
 
-The classification is pattern-based: every permutative (complex) orthogonal
-4x4 matrix is P * Conj * Block * Conj for a row permutation P fixing index 1,
-a conjugator Conj in {I, P23, P24} selecting the x/y/z pattern family, and a
-two-parameter block of kind M or N carrying a sign. The block entries are an
-affine function of the two parameters, which makes membership tests and
-witness extraction a couple of array comparisons.
+Every permutative (complex) orthogonal 4x4 matrix is L * Conj * Block * Conj
+for a row permutation L fixing index 1, a conjugator Conj in {I, P23, P24}
+selecting the x/y/z pattern family, and a two-parameter block of kind M or N
+carrying a sign. The block entries are an affine function of the two
+parameters and the permutations act as index gathers, so the algebra is
+written once in each direction:
+
+- `_block` builds Conj * Block * Conj from the two parameters. Array
+  parameters give a stack, Fraction parameters an exact block. Set members,
+  rational coins, witness reconstructions and the family coins come from it.
+- `_residuals` reads a (B, 4, 4) batch under (conjugator, left) transforms,
+  all 18 by default, and returns how far each transformed matrix lies from
+  each of the four (kind, sign) blocks built from its own entries.
+  `classify`, `classify_batch_errors`, `in_pattern_set` and
+  `group_closure_sample` all read through it.
 """
 
 from __future__ import annotations
@@ -16,13 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .perms import ONE_PLUS_P3, P23, P24, P34, Permutation4
+from .perms import ONE_PLUS_P3, P23, P24, P34, Permutation4, matrix_to_perm
 
 __all__ = [
     "Coin", "FamilyWitness", "NotOrthogonalError", "NotPermutativeError",
     "COIN_FAMILIES", "SET_TAGS",
     "grover_coin", "coin_from_theta", "coin_rational", "build_permutative",
-    "is_orthogonal", "is_permutative", "classify",
+    "is_orthogonal", "is_unitary", "is_permutative", "classify",
     "set_member_from_theta", "in_pattern_set",
     "chain_ids", "chain_sets", "group_closure_sample",
     "coin_to_json", "coin_from_json",
@@ -35,16 +44,33 @@ SET_TAGS = tuple(f"{f}{j}" for f in "xyz" for j in (1, 2, 3, 4))
 
 # Blocks are slot1*E1 + slot2*E2 + sign*EC_<kind>. Kind M has parameters
 # (A-block, B-block) = (slot1, slot2); kind N swaps them.
-_E1 = np.array([[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, -1, 1], [0, 0, 1, -1]], dtype=float)
-_E2 = np.array([[0, 0, 1, -1], [0, 0, -1, 1], [1, -1, 0, 0], [-1, 1, 0, 0]], dtype=float)
-_EC_M = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
-_EC_N = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
+_E1 = np.array([[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, -1, 1], [0, 0, 1, -1]])
+_E2 = np.array([[0, 0, 1, -1], [0, 0, -1, 1], [1, -1, 0, 0], [-1, 1, 0, 0]])
+_EC = {"m": np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+       "n": np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])}
 
 _CONJ = {"x": np.eye(4), "y": P23, "z": P24}
+# the conjugators as index gathers: (Conj B Conj)[i, k] = B[c[i], c[k]]
+_CONJ_IDX = {f: np.argmax(conj, axis=1) for f, conj in _CONJ.items()}
 _LEFT = {"x": P34, "y": P24, "z": P23}  # multipliers of the generalized-Grover sets
 
-# j -> (kind, sign)
+# j -> (kind, sign); also the order of the last axis of _residuals
 _J_KIND_SIGN = {1: ("m", 1), 2: ("m", -1), 3: ("n", 1), 4: ("n", -1)}
+
+def _gather_index(fam: str, left: Permutation4) -> np.ndarray:
+    """Flat indices reading Conj * left^T * A * Conj off A.reshape(16)."""
+    c = _CONJ_IDX[fam]
+    rows = np.argmax(left.matrix().T, axis=1)[c]
+    return (4 * rows[:, None] + c).ravel()
+
+
+# the 18 (conjugator, left) transforms, family-major: row t of _GATHER reads
+# family "xyz"[t // 6] under left permutation ONE_PLUS_P3[t % 6]
+_GATHER = np.array([_gather_index(f, left) for f in "xyz" for left in ONE_PLUS_P3])
+# (family, left-multiplied) -> the transform that reads that bare set
+# (ONE_PLUS_P3[0] is the identity)
+_SET_TRANSFORM = {(f, lm): 6 * i + (ONE_PLUS_P3.index(matrix_to_perm(_LEFT[f])) if lm else 0)
+                  for i, f in enumerate("xyz") for lm in (False, True)}
 
 
 class NotOrthogonalError(ValueError):
@@ -87,30 +113,31 @@ def grover_coin() -> Coin:
     return Coin(g, family="p24y1", theta=-math.pi / 2)
 
 
-def _block(kind: str, sign: int, slot1, slot2) -> np.ndarray:
-    ec = _EC_M if kind == "m" else _EC_N
-    return slot1 * _E1 + slot2 * _E2 + sign * ec
+def _block(fam: str, kind: str, sign: int, x, z) -> np.ndarray:
+    """Conj * Block * Conj with Block = M^sign_{x,z} (kind "m") or N^sign_{z,x}
+    (kind "n"). Array parameters give a (..., 4, 4) stack; Fraction
+    parameters give an object array of exact Fractions."""
+    slot1, slot2 = (x, z) if kind == "m" else (z, x)
+    b = (np.asarray(slot1)[..., None, None] * _E1 + np.asarray(slot2)[..., None, None] * _E2
+         + sign * _EC[kind])
+    c = _CONJ_IDX[fam]
+    return b[..., c[:, None], c]
 
 
 def set_member_from_theta(tag: str, theta) -> np.ndarray:
-    """Member of a bare pattern set (x1..z4) at parameter theta.
-
-    theta may be complex; the parametrization stays on the defining variety.
-    """
-    f, j = tag[0], int(tag[1])
-    kind, sign = _J_KIND_SIGN[j]
-    s, c = np.sin(theta), np.cos(theta)
-    if kind == "m":
-        slot1, slot2 = s / 2, sign * (1 + c) / 2
-    else:
-        slot1, slot2 = sign * (1 + c) / 2, s / 2
-    b = _block(kind, sign, slot1, slot2)
-    conj = _CONJ[f]
-    return conj @ b @ conj if f != "x" else b
+    """Member of a bare pattern set (x1..z4) at parameter theta:
+    x = sin(theta)/2 and z = sign (1 + cos(theta))/2 lie on the defining
+    variety. theta may be complex, or an array giving a (..., 4, 4) stack."""
+    kind, sign = _J_KIND_SIGN[int(tag[1])]
+    return _block(tag[0], kind, sign, np.sin(theta) / 2, sign * (1 + np.cos(theta)) / 2)
 
 
 def coin_from_theta(family: str, theta: float) -> Coin:
     """One-parameter coin from the four named walk families.
+
+    Each is a bare set's member, times the set's generalized-Grover factor
+    except for x3: p34x1 = P34 x1(theta), p24y1 = P24 y1(theta),
+    p23z1 = P23 z1(pi - theta), x3 = x3(theta).
 
     theta must lie in [-pi, pi]; the endpoints give sign-degenerate
     permutation-like coins and are flagged (the walk modules reject them).
@@ -121,19 +148,16 @@ def coin_from_theta(family: str, theta: float) -> Coin:
     theta = float(theta)
     if not (-math.pi <= theta <= math.pi):
         raise ValueError(f"theta={theta} out of range [-pi, pi]")
+    tag = family[-2:]
+    kind, sign = _J_KIND_SIGN[int(tag[1])]   # sign is +1 for all four
     s, c = math.sin(theta), math.cos(theta)
-    a, b = (1 + c) / 2, (1 - c) / 2
-    h = s / 2
-    if family == "p34x1":
-        m = [[h, -h, a, b], [-h, h, b, a], [b, a, h, -h], [a, b, -h, h]]
-    elif family == "p24y1":
-        m = [[h, a, -h, b], [b, h, a, -h], [-h, b, h, a], [a, -h, b, h]]
-    elif family == "p23z1":
-        m = [[h, a, b, -h], [b, h, -h, a], [a, -h, h, b], [-h, b, a, h]]
-    else:  # x3
-        m = [[a, b, h, -h], [b, a, -h, h], [h, -h, b, a], [-h, h, a, b]]
+    # z of z1(pi - theta) is (1 + cos(pi - theta))/2 = (1 - c)/2; taking the
+    # right-hand side avoids rounding pi - theta
+    m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
+    if family != "x3":
+        m = _LEFT[tag[0]] @ m
     degenerate = math.isclose(abs(theta), math.pi, rel_tol=0, abs_tol=1e-12)
-    return Coin(np.array(m), family=family, theta=theta, degenerate=degenerate)
+    return Coin(m, family=family, theta=theta, degenerate=degenerate)
 
 
 def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
@@ -146,27 +170,16 @@ def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
     """
     if tag not in SET_TAGS:
         raise ValueError(f"unknown set tag {tag!r}")
-    if isinstance(r, str):
-        r = Fraction(r)
     r = Fraction(r)
     if r == 0:
         raise ValueError("r must be nonzero")
     if z_branch not in (1, -1):
         raise ValueError("z_branch must be +1 or -1")
-    f, j = tag[0], int(tag[1])
-    kind, sign = _J_KIND_SIGN[j]
+    kind, sign = _J_KIND_SIGN[int(tag[1])]
     x = (r**2 - 1) / (2 * (r**2 + 1))
     z = Fraction(sign, 2) + z_branch * r / (r**2 + 1)
-    slot1, slot2 = (x, z) if kind == "m" else (z, x)
-    ec = _EC_M if kind == "m" else _EC_N
-    exact = [[slot1 * Fraction(int(_E1[i, k])) + slot2 * Fraction(int(_E2[i, k]))
-              + sign * Fraction(int(ec[i, k])) for k in range(4)] for i in range(4)]
-    if f != "x":
-        conj = _CONJ[f]
-        pi = [int(np.argmax(conj[i])) for i in range(4)]
-        exact = [[exact[pi[i]][pi[k]] for k in range(4)] for i in range(4)]
-    entries = np.array([[float(v) for v in row] for row in exact])
-    return Coin(entries, family=tag, r=r, exact=tuple(tuple(row) for row in exact))
+    exact = _block(tag[0], kind, sign, x, z)
+    return Coin(exact.astype(float), family=tag, r=r, exact=tuple(map(tuple, exact)))
 
 
 def build_permutative(x_row, P, Q, R) -> Coin:
@@ -180,6 +193,12 @@ def is_orthogonal(A, tol: float = 1e-9) -> bool:
     """max |A^T A - I| <= tol (transpose, not conjugate: complex orthogonal)."""
     A = np.asarray(A, dtype=complex)
     return bool(np.abs(A.T @ A - np.eye(4)).max() <= tol)
+
+
+def is_unitary(A, tol: float = 1e-9) -> bool:
+    """max |A^H A - I| <= tol (conjugate transpose: the walk preserves norm)."""
+    A = np.asarray(A, dtype=complex)
+    return bool(np.abs(A.conj().T @ A - np.eye(4)).max() <= tol)
 
 
 def is_permutative(A, tol: float = 1e-9) -> bool:
@@ -233,19 +252,54 @@ class FamilyWitness:
         return True
 
     def reconstruct(self) -> np.ndarray:
-        slot1, slot2 = (self.x, self.z) if self.kind == "m" else (self.z, self.x)
-        b = _block(self.kind, self.sign, slot1, slot2)
-        conj = self.conjugator
-        return self.left.matrix() @ (conj @ b @ conj)
+        return self.left.matrix() @ _block(self.family, self.kind, self.sign, self.x, self.z)
 
 
-def _pattern_match(B: np.ndarray, kind: str, sign: int, tol: float):
-    """Try to read B as a kind/sign block; returns (slot1, slot2) or None."""
-    p1, p2 = B[0, 0], B[0, 2]
-    rec = _block(kind, sign, p1, p2)
-    if np.abs(B - rec).max() <= tol:
-        return p1, p2
-    return None
+def _residuals(mats: np.ndarray, transforms=slice(None)):
+    """Read a (B, 4, 4) batch under the given transforms (rows of _GATHER,
+    all 18 by default).
+
+    Returns the residuals (B, T, 4): the largest |entry| of each transformed
+    matrix minus the block j = 1..4 (see _J_KIND_SIGN) built from its own
+    slots; and those slots (B, T, 2), the entries (1, 1) and (1, 3).
+    Residuals come from squared moduli, so those below about 1e-154
+    underflow to 0.
+    """
+    T = mats.reshape(len(mats), 16)[:, _GATHER[transforms]]
+    slots = T[..., [0, 2]]
+    base = slots[..., :1] * _E1.ravel()
+    base += slots[..., 1:] * _E2.ravel()
+    # squared modulus of T - (base + sign*EC), maximised before the square
+    # root; EC is real, so the imaginary part is shared by all four blocks
+    im2 = T.imag - base.imag
+    im2 *= im2
+    sq = np.empty(T.shape[:2] + (4,))
+    for j, (kind, sign) in _J_KIND_SIGN.items():
+        d = T.real - (base.real + sign * _EC[kind].ravel())
+        d *= d
+        d += im2
+        sq[..., j - 1] = d.max(axis=-1)
+    return np.sqrt(sq), slots
+
+
+def _canonical_witness(mats: np.ndarray, tol: float):
+    """The first candidate within tol of each matrix of a batch, in the
+    canonical order family x < y < z, kind m < n, sign + < -, left
+    permutation lexicographic. A tight pass runs first, so near-corner coins
+    land on their true pattern rather than on an earlier corner within the
+    loose tolerance. Returns (candidate (B,), its residual (B,), slots); the
+    candidate is -1 and the residual +inf where nothing matches. Candidate i
+    is family i // 24, j = i // 6 % 4 + 1, left ONE_PLUS_P3[i % 6]."""
+    res, slots = _residuals(mats)
+    B = len(mats)
+    errs = res.reshape(B, 3, 6, 4).transpose(0, 1, 3, 2).reshape(B, 72)
+    best = np.full(B, -1)
+    for pass_tol in sorted({min(1e-12, tol), tol}):
+        hit = errs <= pass_tol
+        new = hit.any(axis=1) & (best < 0)
+        best[new] = hit.argmax(axis=1)[new]
+    err = np.where(best >= 0, errs[np.arange(B), best], np.inf)
+    return best, err, slots
 
 
 def classify(A, tol: float = 1e-9) -> FamilyWitness:
@@ -263,72 +317,24 @@ def classify(A, tol: float = 1e-9) -> FamilyWitness:
         raise NotOrthogonalError(f"matrix is not orthogonal within tol={tol}")
     if not is_permutative(A, tol):
         raise NotPermutativeError(f"matrix is orthogonal but not permutative within tol={tol}")
-    # a tight pass first, so near-corner coins land on their true pattern
-    # rather than on an earlier corner within the loose tolerance
-    for pass_tol in sorted({min(1e-12, tol), tol}):
-        for fam in "xyz":
-            conj = _CONJ[fam]
-            for kind in "mn":
-                for sign in (1, -1):
-                    for left in ONE_PLUS_P3:
-                        B = conj @ (left.matrix().T @ A) @ conj
-                        got = _pattern_match(B, kind, sign, pass_tol)
-                        if got is None:
-                            continue
-                        slot1, slot2 = got
-                        x, z = (slot1, slot2) if kind == "m" else (slot2, slot1)
-                        return FamilyWitness(fam, left, kind, sign, complex(x), complex(z))
-    # unreachable for genuinely permutative orthogonal input
-    raise NotPermutativeError("no pattern family matched; input outside the classification")
-
-
-def _batch_transform_indices():
-    """Row/column gather indices realizing conj * P^T * A * conj for the
-    3 conjugators x 6 left permutations."""
-    rows = np.empty((3, 6, 4), dtype=int)
-    cols = np.empty((3, 6, 4), dtype=int)
-    for f, fam in enumerate("xyz"):
-        conj = _CONJ[fam]
-        for p, left in enumerate(ONE_PLUS_P3):
-            L = conj @ left.matrix().T
-            rows[f, p] = np.argmax(L, axis=1)
-            cols[f, p] = np.argmax(conj, axis=0)
-    return rows, cols
-
-
-_BT_ROWS, _BT_COLS = None, None
+    best, _, slots = _canonical_witness(A[None], tol)
+    i = int(best[0])
+    if i < 0:  # unreachable for genuinely permutative orthogonal input
+        raise NotPermutativeError("no pattern family matched; input outside the classification")
+    fam, left = i // 24, i % 6
+    kind, sign = _J_KIND_SIGN[i // 6 % 4 + 1]
+    slot1, slot2 = slots[0, 6 * fam + left]
+    x, z = (slot1, slot2) if kind == "m" else (slot2, slot1)
+    return FamilyWitness("xyz"[fam], ONE_PLUS_P3[left], kind, sign, complex(x), complex(z))
 
 
 def classify_batch_errors(mats: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Reconstruction error of the canonical witness for a batch (B, 4, 4).
 
-    Vectorized version of the classify -> reconstruct round trip; candidate
-    order matches classify, and like classify a tight pass runs first. Items
-    matching no pattern get +inf.
+    Vectorized version of the classify -> reconstruct round trip, with the
+    same candidate order and tight pass. Items matching no pattern get +inf.
     """
-    global _BT_ROWS, _BT_COLS
-    if _BT_ROWS is None:
-        _BT_ROWS, _BT_COLS = _batch_transform_indices()
-    mats = np.asarray(mats, dtype=complex)
-    B = mats.shape[0]
-    # one gather produces all 18 permuted copies: (B, 3, 6, 4, 4)
-    T = mats[:, _BT_ROWS[..., :, None], _BT_COLS[..., None, :]]
-    p1 = T[..., 0, 0][..., None, None]
-    p2 = T[..., 0, 2][..., None, None]
-    base = p1 * _E1 + p2 * _E2
-    errs = np.empty((B, 3, 2, 2, 6))
-    for ik, ec in enumerate((_EC_M, _EC_N)):
-        for isg, sign in enumerate((1, -1)):
-            e = np.abs(T - (base + sign * ec)).max(axis=(-1, -2))   # (B, 3, 6)
-            errs[:, :, ik, isg, :] = e
-    errs = errs.reshape(B, 72)                    # canonical candidate order
-    out = np.full(B, np.inf)
-    for pass_tol in sorted({min(1e-12, tol), tol}):
-        hit = errs <= pass_tol
-        any_hit = hit.any(axis=1) & ~np.isfinite(out)
-        first = hit.argmax(axis=1)
-        out[any_hit] = errs[np.arange(B), first][any_hit]
-    return out
+    return _canonical_witness(np.asarray(mats, dtype=complex), tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -381,41 +387,9 @@ def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
     the set is premultiplied by its family's generalized-Grover factor."""
     if tag not in SET_TAGS:
         raise ValueError(f"unknown set tag {tag!r}")
-    fam, j = tag[0], int(tag[1])
-    A = np.asarray(A, dtype=complex)[None]
-    return bool(_batch_in_set(A, fam, j, left, tol)[0])
-
-
-def _batch_members(fam: str, j: int, left: bool, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized set members for an array of (possibly complex) thetas."""
-    kind, sign = _J_KIND_SIGN[j]
-    s, c = np.sin(thetas), np.cos(thetas)
-    if kind == "m":
-        slot1, slot2 = s / 2, sign * (1 + c) / 2
-    else:
-        slot1, slot2 = sign * (1 + c) / 2, s / 2
-    ec = _EC_M if kind == "m" else _EC_N
-    mats = (slot1[:, None, None] * _E1 + slot2[:, None, None] * _E2 + sign * ec)
-    conj = _CONJ[fam]
-    if fam != "x":
-        mats = np.einsum("ij,bjk,kl->bil", conj, mats, conj)
-    if left:
-        mats = np.einsum("ij,bjk->bik", _LEFT[fam], mats)
-    return mats
-
-
-def _batch_in_set(mats: np.ndarray, fam: str, j: int, left: bool, tol: float) -> np.ndarray:
-    """Boolean mask: which matrices of the batch lie in the given bare set."""
-    kind, sign = _J_KIND_SIGN[j]
-    B = mats
-    if left:
-        B = np.einsum("ij,bjk->bik", _LEFT[fam].T, B)
-    conj = _CONJ[fam]
-    if fam != "x":
-        B = np.einsum("ij,bjk,kl->bil", conj, B, conj)
-    ec = _EC_M if kind == "m" else _EC_N
-    rec = B[:, 0, 0][:, None, None] * _E1 + B[:, 0, 2][:, None, None] * _E2 + sign * ec
-    return np.abs(B - rec).max(axis=(1, 2)) <= tol
+    A = np.asarray(A, dtype=complex).reshape(1, 4, 4)
+    res, _ = _residuals(A, [_SET_TRANSFORM[tag[0], bool(left)]])
+    return bool(res[0, 0, int(tag[1]) - 1] <= tol)
 
 
 def group_closure_sample(chain_id: str, count: int, seed: int,
@@ -434,17 +408,22 @@ def group_closure_sample(chain_id: str, count: int, seed: int,
         for i, (fam, j, left) in enumerate(sets):
             mask = which == i
             if mask.any():
-                out[mask] = _batch_members(fam, j, left, th[mask])
+                m = set_member_from_theta(f"{fam}{j}", th[mask])
+                out[mask] = _LEFT[fam] @ m if left else m
         return out
 
+    # read each matrix once per distinct transform, then pick each set's block
+    transforms, set_t = np.unique([_SET_TRANSFORM[fam, left] for fam, _, left in sets],
+                                  return_inverse=True)
+    set_j = [j - 1 for _, j, _ in sets]
+
+    def in_chain(mats):
+        res = _residuals(mats, transforms)[0]
+        return (res[:, set_t, set_j] <= tol).any(axis=1)
+
     A, B = draw(count), draw(count)
-    products = np.einsum("bij,bjk->bik", A, B)
-    transposes = np.swapaxes(A, 1, 2)
-    in_chain_prod = np.zeros(count, dtype=bool)
-    in_chain_t = np.zeros(count, dtype=bool)
-    for fam, j, left in sets:
-        in_chain_prod |= _batch_in_set(products, fam, j, left, tol)
-        in_chain_t |= _batch_in_set(transposes, fam, j, left, tol)
+    in_chain_prod = in_chain(np.einsum("bij,bjk->bik", A, B))
+    in_chain_t = in_chain(np.swapaxes(A, 1, 2))
     n_ok = int(in_chain_prod.sum() + in_chain_t.sum())
     return {
         "chain": chain_id,

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import Coin, COIN_FAMILIES, coin_from_theta
+from .coins import Coin, COIN_FAMILIES, coin_from_theta, is_unitary
 from .walk import WalkState, chirality_index
 
 __all__ = [
@@ -193,7 +193,11 @@ def coin_eigensystem(coin, N: int):
     fam = _family_theta(coin)
     if fam is not None:
         return _family_eigensystem_cached(fam[0], fam[1], N)
-    U = _blocks_tensor(_coin_matrix(coin), N)
+    C = _coin_matrix(coin)
+    if not is_unitary(C, 1e-9):
+        raise ValueError("coin is not unitary (max |A^H A - I| > 1e-9); "
+                         "the block spectra would leave the unit circle")
+    U = _blocks_tensor(C, N)
     lams = np.empty((N, N, 4), dtype=complex)
     vecs = np.empty((N, N, 4, 4), dtype=complex)
     for n in range(N):
@@ -213,14 +217,6 @@ class SpectralBlock:
     eigenvalues: np.ndarray     # (4,)
     eigenvectors: np.ndarray    # (4, 4), row k is the unit eigenvector for k
     fallback: bool
-
-    @property
-    def omega(self) -> complex:
-        return complex(np.exp(2j * np.pi / self.N))
-
-    @property
-    def zeta(self) -> tuple[float, float]:
-        return 2 * np.pi * self.n / self.N, 2 * np.pi * self.m / self.N
 
     def residual(self) -> float:
         r = np.einsum("ij,kj->ki", self.matrix, self.eigenvectors) \

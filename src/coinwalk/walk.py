@@ -9,12 +9,11 @@ the brute-force oracle for the spectral machinery.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, is_orthogonal
+from .coins import Coin, is_unitary
 
 __all__ = [
     "CHIRALITIES", "chirality_index",
@@ -112,10 +111,12 @@ def _coin_entries(C) -> np.ndarray:
 
 
 def step(state: WalkState, C) -> WalkState:
-    """One evolution step: coin on the chirality axis, then shift."""
+    """One evolution step: coin on the chirality axis, then shift. Raises
+    ValueError unless the coin is unitary."""
     cm = _coin_entries(C)
-    if not is_orthogonal(cm, 1e-9):
-        warnings.warn("coin is not orthogonal; norm will drift", stacklevel=2)
+    if not is_unitary(cm, 1e-9):
+        raise ValueError("coin is not unitary (max |A^H A - I| > 1e-9); "
+                         "the walk would not preserve norm")
     mixed = np.einsum("ij,jxy->ixy", cm, state.amps)
     amps = np.stack([
         np.roll(mixed[0], 1, axis=0),    # R pulls from x-1

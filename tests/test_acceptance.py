@@ -18,6 +18,7 @@ from coinwalk.coins import (
     group_closure_sample,
     is_orthogonal,
     is_permutative,
+    set_member_from_theta,
 )
 from coinwalk.localization import (
     QuadratureSpec,
@@ -205,9 +206,7 @@ def test_criterion_6_classification_round_trip():
         for t in range(len(SET_TAGS)):
             mask = tags == t
             if mask.any():
-                from coinwalk.coins import _batch_members
-                fam, j = SET_TAGS[t][0], int(SET_TAGS[t][1])
-                mats[mask] = _batch_members(fam, j, False, thetas[mask])
+                mats[mask] = set_member_from_theta(SET_TAGS[t], thetas[mask])
         errs = classify_batch_errors(mats)
         worst = max(worst, float(errs.max()))
     exact_ok = True

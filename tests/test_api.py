@@ -1,0 +1,29 @@
+"""Public API guard: every exported name resolves, and the coins module
+keeps its public names."""
+
+import importlib
+
+import pytest
+
+MODULES = ["coinwalk", "coinwalk.perms", "coinwalk.coins", "coinwalk.matspace",
+           "coinwalk.walk", "coinwalk.spectral", "coinwalk.localization", "coinwalk.io"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(name)
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing
+
+
+def test_coins_public_names_frozen():
+    from coinwalk import coins
+    assert coins.__all__ == [
+        "Coin", "FamilyWitness", "NotOrthogonalError", "NotPermutativeError",
+        "COIN_FAMILIES", "SET_TAGS",
+        "grover_coin", "coin_from_theta", "coin_rational", "build_permutative",
+        "is_orthogonal", "is_unitary", "is_permutative", "classify",
+        "set_member_from_theta", "in_pattern_set",
+        "chain_ids", "chain_sets", "group_closure_sample",
+        "coin_to_json", "coin_from_json",
+    ]

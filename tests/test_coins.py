@@ -15,6 +15,7 @@ from coinwalk.coins import (
     chain_ids,
     chain_sets,
     classify,
+    classify_batch_errors,
     coin_from_json,
     coin_from_theta,
     coin_rational,
@@ -23,9 +24,13 @@ from coinwalk.coins import (
     group_closure_sample,
     is_orthogonal,
     is_permutative,
+    is_unitary,
     set_member_from_theta,
 )
-from coinwalk.perms import P23, P24, perm_matrix
+from coinwalk.perms import P23, P24, P34, perm_matrix
+
+# generalized-Grover factor of each pattern family
+LEFT = {"x": P34, "y": P24, "z": P23}
 
 G = grover_coin().entries
 
@@ -119,6 +124,62 @@ def test_classify_identity_corner():
     w = classify(np.eye(4))
     assert (complex(w.x), complex(w.z)) in {(0j, 1 + 0j), (0j, 0j)}
     assert np.abs(w.reconstruct() - np.eye(4)).max() < 1e-15
+
+
+@given(st.sampled_from(SET_TAGS), st.floats(-3.1, 3.1), st.floats(-0.8, 0.8),
+       st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_classify_matches_batch_errors(tag, re, im, complex_theta, left):
+    theta = complex(re, im) if complex_theta else re
+    a = set_member_from_theta(tag, theta)
+    if left:
+        a = LEFT[tag[0]] @ a
+    w = classify(a)
+    err = np.abs(w.reconstruct() - a).max()
+    assert err <= 1e-9
+    # the same residual, up to rounding of sqrt(re^2 + im^2) against hypot;
+    # the squares underflow for residuals under about 1e-154
+    assert classify_batch_errors(a[None])[0] == pytest.approx(err, rel=1e-15, abs=1e-150)
+
+
+def test_set_member_from_theta_array():
+    thetas = np.array([[0.3, -2.0], [1.1 + 0.4j, 3.0]])
+    for tag in SET_TAGS:
+        stack = set_member_from_theta(tag, thetas)
+        assert stack.shape == (2, 2, 4, 4)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(stack[idx], set_member_from_theta(tag, thetas[idx]))
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_family_coin_is_left_factor_times_member(family):
+    # p34x1 = P34 x1(theta), p24y1 = P24 y1(theta), p23z1 = P23 z1(pi - theta),
+    # x3 = x3(theta)
+    eps = np.finfo(float).eps
+    tag = family[-2:]
+
+    def member(theta):
+        m = set_member_from_theta(tag, math.pi - theta if family == "p23z1" else theta)
+        return m if family == "x3" else LEFT[tag[0]] @ m
+
+    for theta in (0.7, -2.0, 3.1, 0.0, 1.3, math.pi, -math.pi):
+        c = coin_from_theta(family, theta)
+        assert np.abs(c.entries - member(theta)).max() <= eps
+        assert c.degenerate == (abs(theta) == math.pi)
+    # on a grid, p23z1's member is taken at the rounded pi - theta (and
+    # math.pi is itself pi rounded), which costs up to one more epsilon
+    bound = 2 * eps if family == "p23z1" else eps
+    for theta in np.linspace(-math.pi, math.pi, 401):
+        assert np.abs(coin_from_theta(family, theta).entries - member(theta)).max() <= bound
+
+
+def test_is_unitary_rejects_complex_orthogonal():
+    for family in COIN_FAMILIES:
+        assert is_unitary(coin_from_theta(family, 0.7).entries)
+    a = set_member_from_theta("x3", 0.7 + 0.5j)
+    assert is_orthogonal(a)
+    assert not is_unitary(a)
+    assert np.abs(a.conj().T @ a - np.eye(4)).max() > 0.5
 
 
 def test_classify_errors():
@@ -251,9 +312,8 @@ def test_cross_family_product_not_permutative():
 
 
 def test_identity_in_base_chain():
-    from coinwalk.coins import _batch_in_set
-    eye = np.eye(4, dtype=complex)[None]
-    assert _batch_in_set(eye, "x", 3, True, 1e-12)[0]
+    from coinwalk.coins import in_pattern_set
+    assert in_pattern_set(np.eye(4, dtype=complex), "x3", left=True, tol=1e-12)
 
 
 def test_family_coin_row_and_column_sums_unit():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coinwalk.coins import COIN_FAMILIES, coin_from_theta, grover_coin
+from coinwalk.coins import COIN_FAMILIES, coin_from_theta, grover_coin, set_member_from_theta
 from coinwalk.spectral import (
     build_block,
     c_coefficient,
@@ -364,3 +364,11 @@ def test_grover_point_projector_equality():
     assert np.abs(proj_minus - (np.eye(4) - np.outer(u, u))).max() < 1e-10
     proj_plus = sum(np.outer(v, np.conj(v)) for v in groups[(1.0, 0.0)])
     assert np.abs(proj_plus - np.outer(u, u)).max() < 1e-10
+
+
+def test_complex_orthogonal_raw_coin_rejected():
+    # the raw-coin path clusters eigenvalues on the unit circle, which a
+    # complex-orthogonal but non-unitary coin leaves
+    a = set_member_from_theta("x3", 0.7 + 0.5j)
+    with pytest.raises(ValueError, match="unitary"):
+        finite_N_pbar_matrix(a, 5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk.coins import coin_from_theta, grover_coin
+from coinwalk.coins import coin_from_theta, grover_coin, set_member_from_theta
 from coinwalk.walk import (
     CHIRALITIES,
     WalkState,
@@ -130,10 +130,17 @@ def test_degenerate_coin_rejected():
         step(initial_state(5, "R"), c)
 
 
-def test_nonorthogonal_coin_warns():
+def test_nonunitary_coin_rejected():
     s = initial_state(3, "R")
-    with pytest.warns(UserWarning):
+    with pytest.raises(ValueError, match="unitary"):
         step(s, np.eye(4) * 1.001)
+
+
+def test_complex_orthogonal_coin_rejected_by_evolve():
+    # A^T A = I holds, but max |A^H A - I| = 0.59: the norm would grow
+    a = set_member_from_theta("x3", 0.7 + 0.5j)
+    with pytest.raises(ValueError, match="unitary"):
+        evolve(initial_state(5, "R"), a, 20)
 
 
 def test_time_average_t1_is_origin_probability():
