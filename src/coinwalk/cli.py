@@ -68,14 +68,7 @@ def cmd_coin(args) -> int:
         return EXIT_OK
     A = _read_matrix(args)
     if args.action == "classify":
-        try:
-            w = coins.classify(A, tol=args.tol)
-        except coins.NotOrthogonalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except coins.NotPermutativeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        w = coins.classify(A, tol=args.tol)
         obj = {
             "family": w.family,
             "set": w.set_tag,
@@ -129,11 +122,7 @@ def cmd_space(args) -> int:
               [[i + 1] + [p.cycles() for p in cls] for i, cls in enumerate(classes)])
         return EXIT_OK
     # c-family
-    try:
-        M = matspace.theorem217_family(args.variant, args.c2, args.branch)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    M = matspace.theorem217_family(args.variant, args.c2, args.branch)
     H = matspace.hadamard_matrix()
     HMH = H.T @ M @ H
     obj = {

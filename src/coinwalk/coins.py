@@ -132,6 +132,12 @@ def set_member_from_theta(tag: str, theta) -> np.ndarray:
     return _block(tag[0], kind, sign, np.sin(theta) / 2, sign * (1 + np.cos(theta)) / 2)
 
 
+def _degenerate(family: str, theta: float | None) -> bool:
+    """True at the theta = +-pi endpoints of the named families."""
+    return (family in COIN_FAMILIES and theta is not None
+            and math.isclose(abs(theta), math.pi, rel_tol=0, abs_tol=1e-12))
+
+
 def coin_from_theta(family: str, theta: float) -> Coin:
     """One-parameter coin from the four named walk families.
 
@@ -156,8 +162,7 @@ def coin_from_theta(family: str, theta: float) -> Coin:
     m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
     if family != "x3":
         m = _LEFT[tag[0]] @ m
-    degenerate = math.isclose(abs(theta), math.pi, rel_tol=0, abs_tol=1e-12)
-    return Coin(m, family=family, theta=theta, degenerate=degenerate)
+    return Coin(m, family=family, theta=theta, degenerate=_degenerate(family, theta))
 
 
 def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
@@ -471,10 +476,12 @@ def coin_from_json(obj: dict) -> Coin:
         re = np.array(re_raw, dtype=float)
         im = np.array(obj.get("entries_im") or np.zeros((4, 4)), dtype=float)
     r = obj.get("r")
+    family, theta = obj.get("family", "raw"), obj.get("theta")
     return Coin(
         re + 1j * im,
-        family=obj.get("family", "raw"),
-        theta=obj.get("theta"),
+        family=family,
+        theta=theta,
         r=Fraction(r[0], r[1]) if r else None,
         exact=exact,
+        degenerate=_degenerate(family, theta),
     )

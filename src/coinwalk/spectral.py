@@ -2,10 +2,12 @@
 
 The evolution operator block at quantum numbers (n, m) is D_{n,m} C with
 D_{n,m} = diag(w^-n, w^n, w^-m, w^m), w = exp(2 pi i / N). For the four named
-coin families the eigenpairs have closed forms; a dense eigensolver backs
-them up wherever a formula denominator degenerates or eigenvalues collide.
-Eigenvalues are ordered k = 1..4 as (-1, +1, e^{-i a}, e^{+i a}) with
-a in [0, pi].
+coin families the eigenpairs have closed forms, ordered k = 1..4 as
+(-1, +1, e^{-i a}, e^{+i a}) with a in [0, pi]. One batched dense eigensolve,
+_dense_eig, serves every other block: a family block whose formula
+denominator degenerates or whose eigenvalues collide is matched onto its
+closed-form eigenvalues, and every block of a raw coin is sorted by
+eigenvalue angle.
 """
 
 from __future__ import annotations
@@ -106,45 +108,44 @@ def closed_form_eigenvectors(family: str, theta: float, lam, wn, wm) -> np.ndarr
         return _VEC[family](s, c, lam, wn, wm)
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(v) > 1e-8)
-    ph = v[idx] / abs(v[idx])
-    return v / ph
+def _dense_eig(U: np.ndarray, targets: np.ndarray | None = None):
+    """Dense eigensolve of a (B, 4, 4) stack of blocks: eigenvalues (B, 4)
+    and unit eigenvectors (B, 4, 4) indexed [b, k, :].
 
-
-def _numeric_block(U: np.ndarray, target_lams: np.ndarray | None):
-    """Dense eigensolve of one 4x4 block. When closed-form eigenvalues are
-    supplied the numeric vectors are matched onto them; degenerate groups are
-    orthonormalized by QR in canonical order and phase-fixed."""
+    Without targets the numeric eigenvalues, sorted by rounded (angle, imag),
+    are their own targets. A group is every target within _DEGEN_TOL of its
+    first member; group by group, each target takes the nearest unused
+    numeric eigenpair and keeps its own value. The vectors of a group are
+    orthonormalized by Gram-Schmidt in that order, and each vector's first
+    entry above 1e-8 in modulus is made real positive.
+    """
     lam, V = np.linalg.eig(U)
-    if target_lams is None:
-        order = np.lexsort((np.round(lam.imag, 9), np.round(np.angle(lam), 9)))
-        lam, V = lam[order], V[:, order]
-        target_lams = lam
-    groups: list[list[int]] = []
-    for k in range(4):
-        for g in groups:
-            if abs(target_lams[k] - target_lams[g[0]]) < _DEGEN_TOL:
-                g.append(k)
-                break
-        else:
-            groups.append([k])
-    out = np.zeros((4, 4), dtype=complex)
-    used = np.zeros(4, dtype=bool)
-    for g in groups:
-        cols = []
-        for k in g:
-            d = np.abs(lam - target_lams[k])
-            d[used] = np.inf
-            j = int(np.argmin(d))
-            used[j] = True
-            cols.append(j)
-        Vg = V[:, cols]
-        if len(g) > 1:
-            Vg, _ = np.linalg.qr(Vg)
-        for i, k in enumerate(g):
-            out[k] = _phase_fix(Vg[:, i])
-    return np.asarray(target_lams), out
+    V = V.transpose(0, 2, 1)                                       # V[b, j, :]
+    rows = np.arange(len(U))
+    if targets is None:
+        targets = lam[rows[:, None], np.lexsort((np.round(lam.imag, 9),
+                                                  np.round(np.angle(lam), 9)))]
+    near = np.abs(targets[:, :, None] - targets[:, None, :]) < _DEGEN_TOL
+    lead = np.tile(np.arange(4), (len(U), 1))
+    for k in range(1, 4):
+        hit = near[:, k, :k] & (lead[:, :k] == np.arange(k))
+        lead[:, k] = np.where(hit.any(axis=1), hit.argmax(axis=1), k)
+    order = np.argsort(lead, axis=1, kind="stable")
+    used = np.zeros((len(U), 4), dtype=bool)
+    Q = np.empty_like(V)
+    for p in range(4):
+        k = order[:, p]
+        j = np.where(used, np.inf, np.abs(lam - targets[rows, k][:, None])).argmin(axis=1)
+        used[rows, j] = True
+        v = V[rows, j]
+        for kq in order[:, :p].T:
+            u = Q[rows, kq]
+            same = (lead[rows, k] == lead[rows, kq])[:, None]
+            v = v - same * (u.conj() * v).sum(axis=1, keepdims=True) * u
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        first = v[rows, np.argmax(np.abs(v) > 1e-8, axis=1)][:, None]
+        Q[rows, k] = v / (first / np.abs(first))
+    return targets, Q
 
 
 def _blocks_tensor(C: np.ndarray, N: int) -> np.ndarray:
@@ -178,13 +179,10 @@ def _family_eigensystem_cached(family: str, theta: float, N: int):
     for a in range(4):
         for b in range(a + 1, 4):
             bad |= np.abs(lams[..., a] - lams[..., b]) < _DEGEN_TOL
-    fallback = np.zeros((N, N), dtype=bool)
-    for n, m in zip(*np.nonzero(bad)):
-        lams[n, m], vecs[n, m] = _numeric_block(U[n, m], lams[n, m])
-        fallback[n, m] = True
-    for arr in (lams, vecs, fallback):
+    lams[bad], vecs[bad] = _dense_eig(U[bad], lams[bad])
+    for arr in (lams, vecs, bad):
         arr.setflags(write=False)
-    return lams, vecs, fallback, U
+    return lams, vecs, bad, U
 
 
 def coin_eigensystem(coin, N: int):
@@ -198,12 +196,8 @@ def coin_eigensystem(coin, N: int):
         raise ValueError("coin is not unitary (max |A^H A - I| > 1e-9); "
                          "the block spectra would leave the unit circle")
     U = _blocks_tensor(C, N)
-    lams = np.empty((N, N, 4), dtype=complex)
-    vecs = np.empty((N, N, 4, 4), dtype=complex)
-    for n in range(N):
-        for m in range(N):
-            lams[n, m], vecs[n, m] = _numeric_block(U[n, m], None)
-    return lams, vecs, np.ones((N, N), dtype=bool), U
+    lams, vecs = _dense_eig(U.reshape(-1, 4, 4))
+    return lams.reshape(N, N, 4), vecs.reshape(N, N, 4, 4), np.ones((N, N), dtype=bool), U
 
 
 @dataclass(frozen=True)
@@ -324,22 +318,17 @@ def c_table_p24y1(l_sp: int, l_s: int, k: int, theta: float, zn: float, zm: floa
 
 
 def _cluster_circle(lams: np.ndarray, tol: float = _DEGEN_TOL) -> np.ndarray:
-    """Group labels for unimodular eigenvalues equal within tol (circular)."""
+    """Group labels for unimodular eigenvalues equal within tol (circular).
+
+    Neighbours in angle order more than tol apart start a new label; a last
+    group that touches the first across angle +-pi takes the first label."""
     order = np.argsort(np.angle(lams), kind="stable")
+    s = lams[order]
+    sorted_labels = np.concatenate(([0], np.cumsum(np.abs(np.diff(s)) > tol)))
+    if sorted_labels[-1] > 0 and abs(s[0] - s[-1]) <= tol:
+        sorted_labels[sorted_labels == sorted_labels[-1]] = 0
     labels = np.empty(len(lams), dtype=int)
-    current = -1
-    prev = None
-    for idx in order:
-        if prev is None or abs(lams[idx] - prev) > tol:
-            current += 1
-        labels[idx] = current
-        prev = lams[idx]
-    # circular wrap: last cluster may touch the first across angle +-pi
-    if current > 0:
-        first = order[0]
-        last = order[-1]
-        if abs(lams[first] - lams[last]) <= tol:
-            labels[labels == labels[last]] = labels[first]
+    labels[order] = sorted_labels
     return labels
 
 
@@ -363,7 +352,6 @@ def finite_N_pbar_matrix(coin, N: int) -> np.ndarray:
     flat_v = vecs.reshape(-1, 4)
     labels = _cluster_circle(flat_l)
     ngroups = labels.max() + 1
-    out = np.zeros((4, 4))
     w = np.einsum("ba,bc->bac", flat_v, np.conj(flat_v))   # (B, 4, 4) outer
     sums = np.zeros((ngroups, 4, 4), dtype=complex)
     np.add.at(sums, labels, w)

@@ -45,8 +45,9 @@ def test_coin_classify_stdin(capsys, monkeypatch, tmp_path):
 def test_coin_classify_rejects_nonorthogonal(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(" ".join(["1.0"] * 16))
-    code, _ = run(capsys, "coin", "classify", "--in", str(path))
+    code = main(["coin", "classify", "--in", str(path)])
     assert code == 2
+    assert capsys.readouterr().err == "error: matrix is not orthogonal within tol=1e-09\n"
 
 
 def test_coin_verify_block_example(capsys, tmp_path):
@@ -92,8 +93,10 @@ def test_space_c_family(capsys):
 
 
 def test_space_c_family_rejects_out_of_range(capsys):
-    code, _ = run(capsys, "space", "c-family", "--variant", "c1", "--c2", "0.9")
+    code = main(["space", "c-family", "--variant", "c1", "--c2", "0.9"])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "error: c2=0.9 outside the parameter interval (negative discriminant)\n")
 
 
 def test_walk_simulate_csv_and_pbar(capsys):

@@ -284,6 +284,19 @@ def test_json_round_trip_float_and_exact():
     assert back.r == Fraction(5, 3)
 
 
+@pytest.mark.parametrize("theta", [math.pi, -math.pi])
+def test_json_round_trip_keeps_degenerate(theta):
+    from coinwalk.spectral import finite_N_pbar
+    from coinwalk.walk import evolve, initial_state
+    back = coin_from_json(coin_to_json(coin_from_theta("p24y1", theta)))
+    assert back.degenerate
+    with pytest.raises(ValueError, match="degenerate"):
+        evolve(initial_state(5, "R"), back, 1)
+    with pytest.raises(ValueError, match="pi"):
+        finite_N_pbar(back, "R", "R", 5)
+    assert not coin_from_json(coin_to_json(coin_from_theta("p24y1", 3.0))).degenerate
+
+
 def test_chain_ids_cover_expected_groups():
     ids = chain_ids()
     assert len(ids) == 39

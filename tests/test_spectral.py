@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinwalk.coins import COIN_FAMILIES, coin_from_theta, grover_coin, set_member_from_theta
 from coinwalk.spectral import (
+    _cluster_circle,
+    _dense_eig,
     build_block,
     c_coefficient,
     c_table_p24y1,
+    closed_form_eigenvalues,
     closed_form_eigs,
     coin_eigensystem,
     eta_matrix,
@@ -372,3 +377,138 @@ def test_complex_orthogonal_raw_coin_rejected():
     a = set_member_from_theta("x3", 0.7 + 0.5j)
     with pytest.raises(ValueError, match="unitary"):
         finite_N_pbar_matrix(a, 5)
+
+
+# ---------------------------------------------------------------------------
+# the batched dense eigensolve against a per-block oracle
+
+_ORACLE_TOL = 1e-9
+
+
+def _oracle_block(U, target_lams):
+    """Dense eigensolve of one 4x4 block, one block at a time: greedy
+    matching onto target_lams group by group, QR inside each degenerate
+    group, first entry above 1e-8 made real positive."""
+    lam, V = np.linalg.eig(U)
+    if target_lams is None:
+        order = np.lexsort((np.round(lam.imag, 9), np.round(np.angle(lam), 9)))
+        lam, V = lam[order], V[:, order]
+        target_lams = lam
+    groups = []
+    for k in range(4):
+        for g in groups:
+            if abs(target_lams[k] - target_lams[g[0]]) < _ORACLE_TOL:
+                g.append(k)
+                break
+        else:
+            groups.append([k])
+    out = np.zeros((4, 4), dtype=complex)
+    used = np.zeros(4, dtype=bool)
+    for g in groups:
+        cols = []
+        for k in g:
+            d = np.abs(lam - target_lams[k])
+            d[used] = np.inf
+            j = int(np.argmin(d))
+            used[j] = True
+            cols.append(j)
+        Vg = V[:, cols]
+        if len(g) > 1:
+            Vg, _ = np.linalg.qr(Vg)
+        for i, k in enumerate(g):
+            v = Vg[:, i]
+            idx = np.argmax(np.abs(v) > 1e-8)
+            out[k] = v / (v[idx] / abs(v[idx]))
+    return np.asarray(target_lams), out
+
+
+def _oracle_labels(lams, tol=_ORACLE_TOL):
+    """Circular clustering walked one eigenvalue at a time."""
+    order = np.argsort(np.angle(lams), kind="stable")
+    labels = np.empty(len(lams), dtype=int)
+    current = -1
+    prev = None
+    for idx in order:
+        if prev is None or abs(lams[idx] - prev) > tol:
+            current += 1
+        labels[idx] = current
+        prev = lams[idx]
+    if current > 0 and abs(lams[order[0]] - lams[order[-1]]) <= tol:
+        labels[labels == labels[order[-1]]] = labels[order[0]]
+    return labels
+
+
+def _haar_unitary(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _assert_matches_oracle(lams, vecs, U, blocks, targets=None):
+    for n, m in blocks:
+        want_l, want_v = _oracle_block(U[n, m], None if targets is None else targets[n, m])
+        assert np.array_equal(lams[n, m], want_l), (n, m)
+        assert np.abs(vecs[n, m] - want_v).max() < 1e-14, (n, m)
+
+
+@pytest.mark.parametrize("name", ["haar", "grover", "x3"])
+def test_raw_eigensystem_matches_per_block_oracle(name):
+    C = {"haar": _haar_unitary(2021), "grover": grover_coin().entries,
+         "x3": np.array(coin_from_theta("x3", 0.7).entries)}[name]
+    N = 15
+    lams, vecs, fb, U = coin_eigensystem(C, N)
+    assert fb.all()
+    _assert_matches_oracle(lams, vecs, U, np.ndindex(N, N))
+    flat = lams.reshape(-1)
+    assert np.array_equal(_cluster_circle(flat), _oracle_labels(flat))
+
+
+@pytest.mark.parametrize("family,theta,N", [("x3", 0.4, 101), ("p24y1", -math.pi / 2, 15)])
+def test_fallback_blocks_match_per_block_oracle(family, theta, N):
+    lams, vecs, fb, U = coin_eigensystem(coin_from_theta(family, theta), N)
+    assert fb.any() and not fb.all()
+    z = 2 * np.pi * np.arange(N) / N
+    ZN, ZM = np.meshgrid(z, z, indexing="ij")
+    targets = closed_form_eigenvalues(family, theta, ZN, ZM)
+    _assert_matches_oracle(lams, vecs, U, zip(*np.nonzero(fb)), targets)
+    flat = lams.reshape(-1)
+    assert np.array_equal(_cluster_circle(flat), _oracle_labels(flat))
+
+
+def test_dense_eig_matches_oracle_in_group_order():
+    # targets 0 and 2 form one group, so target 2 is matched before target
+    # 1; in index order target 1 would take the eigenvalue at 1.5e-9 instead
+    U = np.diag(np.exp(1j * np.array([0.0, 1.5e-9, 5e-9, 2.0])))
+    targets = np.exp(1j * np.array([0.0, 2e-9, 0.9e-9, 2.0]))
+    lams, vecs = _dense_eig(U[None], targets[None])
+    want_l, want_v = _oracle_block(U, targets)
+    assert np.array_equal(lams[0], want_l)
+    assert np.abs(vecs[0] - want_v).max() < 1e-14
+    assert np.abs(vecs[0, 1]).argmax() == 2
+
+
+def test_cluster_labels_match_oracle_with_wraparound_merge():
+    rng = np.random.default_rng(17)
+    grid = np.linspace(-np.pi, np.pi, 13)                 # both +-pi present
+    for _ in range(30):
+        n = int(rng.integers(2, 300))
+        ang = rng.choice(grid, n) + rng.choice([0.0, 1e-11, -1e-11], n)
+        lams = np.exp(1j * ang)
+        assert np.array_equal(_cluster_circle(lams), _oracle_labels(lams))
+    # the two ends of the angle order are one eigenvalue: the last group
+    # takes the first label
+    lams = np.exp(1j * np.array([np.pi - 1e-12, 0.5, -np.pi + 1e-12, 0.5]))
+    labels = _cluster_circle(lams)
+    assert np.array_equal(labels, _oracle_labels(lams))
+    assert labels[0] == labels[2] == 0 and labels[1] == labels[3] == 1
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7]),
+       st.integers(0, 20), st.sampled_from(CHIRALITIES))
+@settings(max_examples=40, deadline=None)
+def test_raw_coin_reconstruction_matches_evolution(seed, N, t, S):
+    C = _haar_unitary(seed)
+    direct = evolve(initial_state(N, S), C, t)
+    rec = reconstruct_state(C, N, S, t)
+    assert np.abs(direct.amps - rec.amps).max() < 1e-10
