@@ -153,7 +153,10 @@ def cmd_walk(args) -> int:
                "rows": [list(r) for r in rows]}
         _emit(args, obj, ["n", "m", "k", "re_lambda", "im_lambda"], rows)
         return EXIT_OK
-    # simulate
+    # simulate: reject what the walk does not cover before any output
+    if args.T < 0:
+        raise ValueError("T must be >= 0")
+    walk._walk_coin(coin)
     x, y = (int(v) for v in args.at.split(","))
     state = walk.initial_state(args.N, args.S)
     rows = []

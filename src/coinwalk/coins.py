@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,10 @@ class NotPermutativeError(ValueError):
 class Coin:
     """A 4x4 coin matrix with provenance metadata.
 
-    entries is complex128; exact, when present, carries the same matrix as
-    Fractions (rational coins are exactly orthogonal in that representation).
+    entries is a read-only complex128 copy; exact, when present, carries the
+    same matrix as Fractions (rational coins are exactly orthogonal in that
+    representation). degenerate and unitary are derived from the fields, so
+    no constructor call can contradict them.
     """
 
     entries: np.ndarray
@@ -94,17 +97,27 @@ class Coin:
     theta: float | None = None
     r: Fraction | None = None
     exact: tuple | None = field(default=None, repr=False)
-    degenerate: bool = False
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
+        e = np.array(self.entries, dtype=complex)
         if e.shape != (4, 4):
             raise ValueError("coin must be 4x4")
+        e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
     @property
     def is_real(self) -> bool:
         return bool(np.abs(self.entries.imag).max() < 1e-12)
+
+    @property
+    def degenerate(self) -> bool:
+        """True at the theta = +-pi endpoints of the named families."""
+        return _degenerate(self.family, self.theta)
+
+    @cached_property
+    def unitary(self) -> bool:
+        """is_unitary(entries) at tol 1e-9, computed once per coin."""
+        return is_unitary(self.entries)
 
 
 def grover_coin() -> Coin:
@@ -162,7 +175,7 @@ def coin_from_theta(family: str, theta: float) -> Coin:
     m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
     if family != "x3":
         m = _LEFT[tag[0]] @ m
-    return Coin(m, family=family, theta=theta, degenerate=_degenerate(family, theta))
+    return Coin(m, family=family, theta=theta)
 
 
 def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
@@ -476,12 +489,10 @@ def coin_from_json(obj: dict) -> Coin:
         re = np.array(re_raw, dtype=float)
         im = np.array(obj.get("entries_im") or np.zeros((4, 4)), dtype=float)
     r = obj.get("r")
-    family, theta = obj.get("family", "raw"), obj.get("theta")
     return Coin(
         re + 1j * im,
-        family=family,
-        theta=theta,
+        family=obj.get("family", "raw"),
+        theta=obj.get("theta"),
         r=Fraction(r[0], r[1]) if r else None,
         exact=exact,
-        degenerate=_degenerate(family, theta),
     )

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coins import Coin, COIN_FAMILIES, coin_from_theta, is_unitary
-from .walk import WalkState, chirality_index
+from .walk import CHIRALITIES, WalkState, chirality_index
 
 __all__ = [
     "SpectralBlock", "DegeneracyClass",
@@ -275,8 +275,11 @@ def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) ->
     fam = _family_theta(coin)
     symmetric = fam is None or fam[0] != "x3"
     cls = omega_class(n, m, N, symmetric=symmetric)
-    lams, vecs, _, _ = coin_eigensystem(coin, N)
-    a, b = chirality_index(S_prime) - 1, chirality_index(S) - 1
+    vecs = coin_eigensystem(coin, N)[1]
+    return _class_sum(vecs, cls, k, chirality_index(S_prime) - 1, chirality_index(S) - 1)
+
+
+def _class_sum(vecs: np.ndarray, cls: DegeneracyClass, k: int, a: int, b: int) -> complex:
     return complex(sum(vecs[nn, mm, k - 1, a] * np.conj(vecs[nn, mm, k - 1, b])
                        for nn, mm in cls.members))
 
@@ -406,12 +409,14 @@ def coefficient_rows(coin, N: int):
     fam = _family_theta(coin)
     symmetric = fam is None or fam[0] != "x3"
     half = (N - 1) // 2
-    reps = [(n, m) for n in range(half + 1) for m in range(half + 1)
-            if symmetric is False or n <= m]
-    from .walk import CHIRALITIES
-    for S in CHIRALITIES:
-        for Sp in CHIRALITIES:
-            for n, m in reps:
+    classes = [omega_class(n, m, N, symmetric=symmetric)
+               for n in range(half + 1) for m in range(half + 1)
+               if symmetric is False or n <= m]
+    vecs = coin_eigensystem(coin, N)[1]
+    for b, S in enumerate(CHIRALITIES):
+        for a, Sp in enumerate(CHIRALITIES):
+            for cls in classes:
+                n, m = cls.representative
                 for k in (1, 2, 3, 4):
-                    c = c_coefficient(coin, Sp, S, n, m, k, N)
+                    c = _class_sum(vecs, cls, k, a, b)
                     yield S, Sp, n, m, k, float(c.real), float(c.imag)

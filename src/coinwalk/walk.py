@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import Coin, is_unitary
+from .coins import Coin
 
 __all__ = [
     "CHIRALITIES", "chirality_index",
@@ -102,38 +102,50 @@ def initial_state(N: int, S: str) -> WalkState:
     return WalkState(N, amps)
 
 
-def _coin_entries(C) -> np.ndarray:
-    if isinstance(C, Coin):
-        if C.degenerate:
-            raise ValueError("walk evolution excludes the degenerate theta = +-pi coins")
-        return C.entries
-    return np.asarray(C, dtype=complex)
+def _walk_coin(C) -> Coin:
+    """C as a Coin the walk accepts. Raises ValueError for the degenerate
+    theta = +-pi coins and unless the coin is unitary (max |A^H A - I| <=
+    1e-9). A Coin computes that verdict once, so a bare array wrapped here
+    once is checked once, however many steps it drives."""
+    if not isinstance(C, Coin):
+        C = Coin(C)
+    if C.degenerate:
+        raise ValueError("walk evolution excludes the degenerate theta = +-pi coins")
+    if not C.unitary:
+        raise ValueError("coin is not unitary (max |A^H A - I| > 1e-9); "
+                         "the walk would not preserve norm")
+    return C
 
 
 def step(state: WalkState, C) -> WalkState:
-    """One evolution step: coin on the chirality axis, then shift. Raises
-    ValueError unless the coin is unitary."""
-    cm = _coin_entries(C)
-    if not is_unitary(cm, 1e-9):
-        raise ValueError("coin is not unitary (max |A^H A - I| > 1e-9); "
-                         "the walk would not preserve norm")
-    mixed = np.einsum("ij,jxy->ixy", cm, state.amps)
-    amps = np.stack([
-        np.roll(mixed[0], 1, axis=0),    # R pulls from x-1
-        np.roll(mixed[1], -1, axis=0),   # L pulls from x+1
-        np.roll(mixed[2], 1, axis=1),    # U pulls from y-1
-        np.roll(mixed[3], -1, axis=1),   # D pulls from y+1
-    ])
-    return WalkState(state.N, amps)
+    """One evolution step: coin on the chirality axis, then shift, into a
+    freshly allocated state (the input is not modified). Raises ValueError
+    for a coin that _walk_coin rejects; a bare array is checked on every
+    call, a Coin once."""
+    N = state.N
+    mixed = (_walk_coin(C).entries @ state.amps.reshape(4, N * N)).reshape(4, N, N)
+    out = np.empty_like(mixed)
+    # each periodic shift is two slice copies: the bulk and the wrapped edge
+    out[0, 1:] = mixed[0, :-1]              # R pulls from x-1
+    out[0, 0] = mixed[0, -1]
+    out[1, :-1] = mixed[1, 1:]              # L pulls from x+1
+    out[1, -1] = mixed[1, 0]
+    out[2, :, 1:] = mixed[2, :, :-1]        # U pulls from y-1
+    out[2, :, 0] = mixed[2, :, -1]
+    out[3, :, :-1] = mixed[3, :, 1:]        # D pulls from y+1
+    out[3, :, -1] = mixed[3, :, 0]
+    return WalkState(N, out)
 
 
 def evolve(state: WalkState, C, t: int) -> WalkState:
+    """The state after t steps. The coin is checked once, before any step,
+    so a rejected coin raises even at t = 0."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    cur = state
+    C = _walk_coin(C)
     for _ in range(t):
-        cur = step(cur, C)
-    return cur
+        state = step(state, C)
+    return state
 
 
 def probability_at(state: WalkState, x: int, y: int) -> float:
@@ -151,15 +163,16 @@ def position_distribution(state: WalkState) -> np.ndarray:
 def time_averaged_probability(C, N: int, S: str, x: int, y: int, T: int) -> float:
     """(1/T) sum_{t=0}^{T-1} P_t((x,y)) for the walk started at the origin
     in coin state |S>."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
     return float(time_averaged_chirality_profile(C, N, S, T, x, y).sum())
 
 
 def time_averaged_chirality_profile(C, N: int, S: str, T: int,
                                     x: int = 0, y: int = 0) -> np.ndarray:
     """Per-chirality time-averaged probabilities at a vertex, (4,) array
-    ordered R, L, U, D."""
+    ordered R, L, U, D. Raises ValueError for T < 1 and for a rejected coin."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    C = _walk_coin(C)
     state = initial_state(N, S)
     _check_coords(x, y, N)
     half = (N - 1) // 2

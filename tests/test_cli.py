@@ -162,6 +162,69 @@ def test_walk_spectrum_coefficients(capsys):
     assert found and float(found[0].split(",")[5]) == pytest.approx(2.0)
 
 
+def test_walk_simulate_rejects_negative_T(capsys):
+    code = main(["walk", "simulate", "--family", "p24y1", "--theta", "0.7",
+                 "--N", "5", "--T", "-3"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: T must be >= 0\n")
+
+
+def test_walk_simulate_checks_coin_at_T0(capsys):
+    code = main(["walk", "simulate", "--family", "p24y1",
+                 "--theta", "3.141592653589793", "--N", "5", "--T", "0"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: walk evolution excludes the degenerate theta = +-pi coins\n")
+
+
+def test_walk_simulate_calls_step_and_probability_per_step(capsys, monkeypatch):
+    # the traced benchmark run builds its walk.* metrics from these spans
+    import coinwalk.walk as walk_mod
+    counts = {"step": 0, "probability_at": 0}
+    for name in counts:
+        real = getattr(walk_mod, name)
+
+        def counted(*a, _real=real, _name=name, **k):
+            counts[_name] += 1
+            return _real(*a, **k)
+        monkeypatch.setattr(walk_mod, name, counted)
+    code, _ = run(capsys, "walk", "simulate", "--family", "x3", "--theta", "0.3",
+                  "--N", "5", "--T", "7")
+    assert code == 0
+    assert counts == {"step": 7, "probability_at": 8}
+
+
+def _parent_coefficient_rows(coin, N):
+    # the per-row route: one c_coefficient call, so one eigensystem lookup, per row
+    from coinwalk.spectral import _family_theta, c_coefficient
+    from coinwalk.walk import CHIRALITIES
+    fam = _family_theta(coin)
+    symmetric = fam is None or fam[0] != "x3"
+    half = (N - 1) // 2
+    reps = [(n, m) for n in range(half + 1) for m in range(half + 1)
+            if symmetric is False or n <= m]
+    for S in CHIRALITIES:
+        for Sp in CHIRALITIES:
+            for n, m in reps:
+                for k in (1, 2, 3, 4):
+                    c = c_coefficient(coin, Sp, S, n, m, k, N)
+                    yield S, Sp, n, m, k, float(c.real), float(c.imag)
+
+
+@pytest.mark.parametrize("family,theta,fmt", [("p24y1", "0.9", "csv"), ("x3", "0.4", "csv"),
+                                              ("p23z1", "-1.5707963267948966", "json")])
+def test_walk_spectrum_coefficients_bytes_match_per_row_route(capsys, monkeypatch,
+                                                             family, theta, fmt):
+    import coinwalk.spectral as spectral_mod
+    args = ("walk", "spectrum", "--family", family, "--theta", theta, "--N", "9",
+            "--coefficients", "--format", fmt)
+    code, out = run(capsys, *args)
+    assert code == 0
+    monkeypatch.setattr(spectral_mod, "coefficient_rows", _parent_coefficient_rows)
+    code, want = run(capsys, *args)
+    assert code == 0 and out == want
+
+
 def test_gw_threads_env(capsys, monkeypatch, tmp_path):
     args = ["localize", "sweep", "--family", "p34x1", "--S", "R", "--points", "4",
             "--quad-M", "32", "--format", "csv"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coinwalk.coins import (
     COIN_FAMILIES,
     SET_TAGS,
+    Coin,
     NotOrthogonalError,
     NotPermutativeError,
     build_permutative,
@@ -295,6 +296,30 @@ def test_json_round_trip_keeps_degenerate(theta):
     with pytest.raises(ValueError, match="pi"):
         finite_N_pbar(back, "R", "R", 5)
     assert not coin_from_json(coin_to_json(coin_from_theta("p24y1", 3.0))).degenerate
+
+
+def test_degenerate_derived_from_family_and_theta():
+    from coinwalk.spectral import finite_N_pbar
+    from coinwalk.walk import evolve, initial_state
+    # rebuilt by hand from the entries, the endpoint coin still reads degenerate
+    c = Coin(coin_from_theta("p24y1", math.pi).entries, family="p24y1", theta=math.pi)
+    assert c.degenerate
+    with pytest.raises(ValueError, match="degenerate"):
+        evolve(initial_state(5, "R"), c, 1)
+    with pytest.raises(ValueError, match="pi"):
+        finite_N_pbar(c, "R", "R", 5)
+    with pytest.raises(TypeError):
+        Coin(c.entries, family="p24y1", theta=math.pi, degenerate=False)
+
+
+def test_coin_entries_read_only_copy():
+    a = np.eye(4)
+    c = Coin(a)
+    with pytest.raises(ValueError):
+        c.entries[0, 0] = 2.0
+    a[0, 0] = 2.0                       # the caller's array stays writable
+    assert c.entries[0, 0] == 1.0 and c.unitary
+    assert not Coin(a).unitary
 
 
 def test_chain_ids_cover_expected_groups():

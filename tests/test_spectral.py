@@ -512,3 +512,20 @@ def test_raw_coin_reconstruction_matches_evolution(seed, N, t, S):
     direct = evolve(initial_state(N, S), C, t)
     rec = reconstruct_state(C, N, S, t)
     assert np.abs(direct.amps - rec.amps).max() < 1e-10
+
+
+@pytest.mark.parametrize("coin", ["grover_raw", "x3"])
+def test_coefficient_rows_one_eigensystem(monkeypatch, coin):
+    import coinwalk.spectral as spectral_mod
+    C = {"grover_raw": grover_coin().entries, "x3": coin_from_theta("x3", 0.4)}[coin]
+    N = 9
+    want = []
+    for S, Sp, n, m, k, _, _ in spectral_mod.coefficient_rows(C, N):
+        c = spectral_mod.c_coefficient(C, Sp, S, n, m, k, N)
+        want.append((S, Sp, n, m, k, float(c.real), float(c.imag)))
+    calls = []
+    real = spectral_mod.coin_eigensystem
+    monkeypatch.setattr(spectral_mod, "coin_eigensystem",
+                        lambda *a: calls.append(1) or real(*a))
+    assert list(spectral_mod.coefficient_rows(C, N)) == want
+    assert len(calls) == 1

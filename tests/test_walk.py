@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk.coins import coin_from_theta, grover_coin, set_member_from_theta
+from coinwalk.coins import Coin, coin_from_theta, grover_coin, set_member_from_theta
 from coinwalk.walk import (
     CHIRALITIES,
     WalkState,
@@ -180,3 +180,90 @@ def test_unitarity_ten_thousand_steps():
     c = coin_from_theta("p23z1", 0.9)
     s = evolve(initial_state(9, "D"), c, 10_000)
     assert abs(s.norm() - 1.0) < 1e-10
+
+
+def test_evolve_checks_coin_at_t0():
+    s = initial_state(5, "R")
+    with pytest.raises(ValueError, match="unitary"):
+        evolve(s, np.eye(4) * 1.001, 0)
+    with pytest.raises(ValueError, match="degenerate"):
+        evolve(s, coin_from_theta("p24y1", -math.pi), 0)
+    assert evolve(s, grover_coin(), 0) is s
+
+
+def test_evolve_rejects_negative_t():
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        evolve(initial_state(5, "R"), grover_coin(), -1)
+
+
+def test_chirality_profile_rejects_empty_average():
+    for T in (0, -2):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            time_averaged_chirality_profile(grover_coin(), 5, "R", T)
+
+
+def test_chirality_profile_checks_coin():
+    with pytest.raises(ValueError, match="unitary"):
+        time_averaged_chirality_profile(np.eye(4) * 1.001, 5, "R", 1)
+
+
+def test_coin_unitarity_checked_once(monkeypatch):
+    import coinwalk.coins as coins_mod
+    calls = []
+    real = coins_mod.is_unitary
+    monkeypatch.setattr(coins_mod, "is_unitary", lambda A, *a: calls.append(1) or real(A, *a))
+    evolve(initial_state(5, "R"), grover_coin().entries, 12)
+    assert len(calls) == 1
+
+
+# the roll-based step the fused step replaced, kept as its oracle
+def _roll_step(amps: np.ndarray, C: np.ndarray) -> np.ndarray:
+    mixed = np.einsum("ij,jxy->ixy", C, amps)
+    return np.stack([
+        np.roll(mixed[0], 1, axis=0),    # R pulls from x-1
+        np.roll(mixed[1], -1, axis=0),   # L pulls from x+1
+        np.roll(mixed[2], 1, axis=1),    # U pulls from y-1
+        np.roll(mixed[3], -1, axis=1),   # D pulls from y+1
+    ])
+
+
+def _haar(rng, real: bool) -> np.ndarray:
+    z = rng.standard_normal((4, 4))
+    if not real:
+        z = z + 1j * rng.standard_normal((4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_state(rng, N: int) -> WalkState:
+    amps = rng.standard_normal((4, N, N)) + 1j * rng.standard_normal((4, N, N))
+    return WalkState(N, amps / np.linalg.norm(amps))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([3, 5, 7, 101]),
+       st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_fused_step_matches_roll_oracle(seed, real, N, t):
+    rng = np.random.default_rng(seed)
+    C = _haar(rng, real)
+    s0 = _random_state(rng, N)
+    want = s0.amps
+    for _ in range(t):
+        want = _roll_step(want, C)
+    assert np.abs(evolve(s0, C, t).amps - want).max() < 1e-13
+    # the origin start, where a swapped shift moves the walker visibly
+    want = initial_state(N, "U").amps
+    for _ in range(t):
+        want = _roll_step(want, C)
+    assert np.abs(evolve(initial_state(N, "U"), Coin(C), t).amps - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("N", [3, 101])
+def test_step_leaves_input_unmodified(N):
+    s = _random_state(np.random.default_rng(N), N)
+    before = s.amps.copy()
+    out = step(s, coin_from_theta("p23z1", 0.4))
+    assert np.array_equal(s.amps, before)
+    assert not np.shares_memory(out.amps, s.amps)
+    out.amps[...] = 0
+    assert np.array_equal(s.amps, before)
