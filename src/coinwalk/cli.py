@@ -154,9 +154,9 @@ def cmd_walk(args) -> int:
         _emit(args, obj, ["n", "m", "k", "re_lambda", "im_lambda"], rows)
         return EXIT_OK
     # simulate: reject what the walk does not cover before any output
-    if args.T < 0:
-        raise ValueError("T must be >= 0")
     walk._walk_coin(coin)
+    if args.T < 1:
+        raise ValueError("T must be >= 1")
     x, y = (int(v) for v in args.at.split(","))
     state = walk.initial_state(args.N, args.S)
     rows = []
@@ -168,7 +168,7 @@ def cmd_walk(args) -> int:
         rows.append((t, x, y, p))
         if t < args.T:
             state = walk.step(state, coin)
-    pbar = acc / max(args.T, 1)
+    pbar = acc / args.T
     obj = {
         "family": args.family, "theta": args.theta, "N": args.N, "T": args.T,
         "S": args.S, "at": [x, y],

@@ -8,10 +8,12 @@ component products, normalized by 1/(4 pi^2) for the four-member momentum
 orbit (equivalently 1/(8 pi^2) for the n <-> m symmetrized eight-member sum).
 
 At lambda = +-1 every family's eigenvector components factor into pure-x and
-pure-y terms, so each integral reduces to bilinear forms u_x^T K u_y with a
-single real M x M kernel shared by all momentum-sign variants. One
-pbar_matrix call (both branches, all 16 pairs) takes about 2 ms at M = 512
-and 20 ms at M = 2048 on one core of a 2-core Xeon with OpenBLAS.
+pure-y terms, px * qy; the factors are the closed-form eigenvectors of
+spectral._FACTORS, the ones the finite-N eigensystem uses. Each integral
+then reduces to bilinear forms u_x^T K u_y with a single real M x M kernel
+shared by all momentum-sign variants. One pbar_matrix call (both branches,
+all 16 pairs) takes about 2 ms at M = 512 and 20 ms at M = 2048 on one core
+of a 2-core Xeon with OpenBLAS.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import COIN_FAMILIES
+from .spectral import _FACTORS
 from .walk import CHIRALITIES, chirality_index
 
 __all__ = [
@@ -51,51 +54,6 @@ def _check_theta(theta: float) -> float:
     if not (-np.pi < theta < np.pi):
         raise ValueError("localization requires theta strictly inside (-pi, pi)")
     return theta
-
-
-def _factors_y1(theta: float, lam: float, ex: np.ndarray, ey: np.ndarray):
-    """1D factors (px, qy), each (4, M), of the lambda = +-1 eigenvectors.
-
-    Written in half-angle variables so no denominator vanishes at interior
-    midpoint nodes for any theta in (-pi, pi)."""
-    t, u = np.sin(theta / 2), np.cos(theta / 2)
-    A = u * lam / ex - t
-    B = u - lam * t * ey
-    one_x, one_y = np.ones_like(ex), np.ones_like(ey)
-    px = np.stack([lam / (ex * A), 1 / A, one_x, one_x])
-    qy = np.stack([B, B, one_y, lam * ey])
-    return px, qy
-
-
-def _factors_x1(theta: float, lam: float, ex: np.ndarray, ey: np.ndarray):
-    t, u = np.sin(theta / 2), np.cos(theta / 2)
-    nx1 = u - t * lam / ex
-    dx2 = t - u * lam * ex
-    nx3 = t - u * lam / ex
-    dy1 = t - u * lam * ey
-    ny2 = u - lam * t * ey
-    dy3 = u - lam * t / ey
-    one_x, one_y = np.ones_like(ex), np.ones_like(ey)
-    px = np.stack([nx1 / dx2, one_x, -nx1, -nx3])
-    qy = np.stack([ny2 / dy1, one_y, 1 / dy1, 1 / dy3])
-    return px, qy
-
-
-def _factors_z1(theta: float, lam: float, ex: np.ndarray, ey: np.ndarray):
-    px, qy = _factors_y1(theta, lam, ex, np.conj(ey))
-    return px, qy[[0, 1, 3, 2]]
-
-
-def _factors_x3(theta: float, lam: float, ex: np.ndarray, ey: np.ndarray):
-    s, c = np.sin(theta), np.cos(theta)
-    one_x, one_y = np.ones_like(ex), np.ones_like(ey)
-    px = np.stack([1 / (ex - lam), lam * ex / (ex - lam), one_x, one_x])
-    qy = np.stack([-s * (ey - lam) / (1 + c), -s * (ey - lam) / (1 + c), one_y, lam * ey])
-    return px, qy
-
-
-_FACTORS = {"p24y1": _factors_y1, "p34x1": _factors_x1,
-            "p23z1": _factors_z1, "x3": _factors_x3}
 
 
 _PAIRS = np.triu_indices(4)   # the 10 independent (a <= b) pairs of a symmetric I_k

@@ -3,11 +3,16 @@
 The evolution operator block at quantum numbers (n, m) is D_{n,m} C with
 D_{n,m} = diag(w^-n, w^n, w^-m, w^m), w = exp(2 pi i / N). For the four named
 coin families the eigenpairs have closed forms, ordered k = 1..4 as
-(-1, +1, e^{-i a}, e^{+i a}) with a in [0, pi]. One batched dense eigensolve,
-_dense_eig, serves every other block: a family block whose formula
-denominator degenerates or whose eigenvalues collide is matched onto its
-closed-form eigenvalues, and every block of a raw coin is sorted by
-eigenvalue angle.
+(-1, +1, e^{-i a}, e^{+i a}) with a in [0, pi]. Each closed-form eigenvector
+is a product px * qy, with px a function of w^n alone and qy of w^m alone:
+at every eigenvalue for p34x1, p24y1 and p23z1, and at lambda = +-1 for x3,
+whose dispersive pair k = 3, 4 does not separate. _FACTORS holds the one
+formula per family; localization integrates the same lambda = +-1 factors,
+and the k = 1, 2 vectors here are outer products of factors computed on the
+N momenta. One batched dense eigensolve, _dense_eig, serves every other
+block: a family block whose formula denominator degenerates or whose
+eigenvalues collide is matched onto its closed-form eigenvalues, and every
+block of a raw coin is sorted by eigenvalue angle.
 """
 
 from __future__ import annotations
@@ -44,13 +49,6 @@ def _coin_matrix(coin) -> np.ndarray:
     return coin.entries if isinstance(coin, Coin) else np.asarray(coin, dtype=complex)
 
 
-def _half_angle(s, c):
-    """sin(theta/2), cos(theta/2) recovered from sin(theta), cos(theta);
-    valid for theta away from +-pi, which the closed forms exclude anyway."""
-    u = np.sqrt((1 + c) / 2)
-    return s / (2 * u), u
-
-
 def closed_form_eigenvalues(family: str, theta: float, zn, zm) -> np.ndarray:
     """Eigenvalues (..., 4) of the block at momentum angles zn, zm."""
     zn, zm = np.broadcast_arrays(np.asarray(zn, dtype=float), np.asarray(zm, dtype=float))
@@ -64,48 +62,68 @@ def closed_form_eigenvalues(family: str, theta: float, zn, zm) -> np.ndarray:
     return np.stack([-np.ones_like(lam3), np.ones_like(lam3), lam3, np.conj(lam3)], axis=-1)
 
 
-def _vec_y1(s, c, lam, wn, wm):
-    # half-angle form: the common sin/cos half-angle factors of numerator
-    # and denominator cancel, keeping the expressions finite at sin = 0
-    t, u = _half_angle(s, c)
-    v2 = (u - lam * t * wm) / (u * lam / wn - t)
-    v1 = (t * lam / wn - u) / (t - u * lam * wn) * v2
-    v4 = (u * lam * wm - t) / (u - t * lam / wm)
-    return np.stack([v1, v2, np.ones_like(v2), v4], axis=-1)
+def _factors_y1(theta: float, lam, wn, wm):
+    """(px, qy), each (4, ...), with eigenvector px * qy at every unimodular
+    lam. Written in half-angle variables so no denominator vanishes at
+    interior momenta for any theta in (-pi, pi). The ratios in px[0] and
+    qy[3] equal lam / wn * rx and lam * wm * ry with rx = ry = 1 at real lam.
+    They are evaluated whole: near theta = +-pi/2 the dispersive k = 3, 4
+    vectors are ill-conditioned, and splitting off rx and ry moves them by
+    about 1e-12."""
+    t, u = np.sin(theta / 2), np.cos(theta / 2)
+    A = u * lam / wn - t
+    B = u - lam * t * wm
+    one_x, one_y = np.ones_like(A), np.ones_like(B)
+    px = np.stack([(t * lam / wn - u) / (t - u * lam * wn) / A, 1 / A, one_x, one_x])
+    qy = np.stack([B, B, one_y, (u * lam * wm - t) / (u - t * lam / wm)])
+    return px, qy
 
 
-def _vec_x1(s, c, lam, wn, wm):
-    t, u = _half_angle(s, c)
-    r1 = (u - t * lam / wn) / (t - u * lam * wm)
-    v1 = r1 * (u - lam * t * wm) / (t - u * lam * wn)
-    v4 = (t - u * lam / wn) / (u - lam * t / wm)
-    return np.stack([v1, np.ones_like(v1), -r1, -v4], axis=-1)
+def _factors_x1(theta: float, lam, wn, wm):
+    t, u = np.sin(theta / 2), np.cos(theta / 2)
+    nx1 = u - t * lam / wn
+    dx2 = t - u * lam * wn
+    nx3 = t - u * lam / wn
+    dy1 = t - u * lam * wm
+    ny2 = u - lam * t * wm
+    dy3 = u - lam * t / wm
+    one_x, one_y = np.ones_like(nx1), np.ones_like(dy1)
+    px = np.stack([nx1 / dx2, one_x, -nx1, -nx3])
+    qy = np.stack([ny2 / dy1, one_y, 1 / dy1, 1 / dy3])
+    return px, qy
 
 
-def _vec_z1(s, c, lam, wn, wm):
+def _factors_z1(theta: float, lam, wn, wm):
     # the z1 coin is the y1 coin conjugated by the (34) swap, which sends the
     # block at (n, m) to the y1 block at (n, N - m)
-    v = _vec_y1(s, c, lam, wn, np.conj(wm))
-    return v[..., [0, 1, 3, 2]]
+    px, qy = _factors_y1(theta, lam, wn, np.conj(wm))
+    return px[[0, 1, 3, 2]], qy[[0, 1, 3, 2]]
 
 
-def _vec_x3(s, c, lam, a, b):
+def _factors_x3(theta: float, lam, wn, wm):
+    """lam = +-1 only: the dispersive pair k = 3, 4 does not separate."""
+    s, c = np.sin(theta), np.cos(theta)
+    qy1 = -s * (wm - lam) / (1 + c)
+    one_x, one_y = np.ones_like(wn - lam), np.ones_like(qy1)
+    px = np.stack([1 / (wn - lam), lam * wn / (wn - lam), one_x, one_x])
+    qy = np.stack([qy1, qy1, one_y, lam * wm])
+    return px, qy
+
+
+# (theta, lam, wn, wm) -> (px, qy); the eigenvector is px * qy
+_FACTORS = {"p24y1": _factors_y1, "p34x1": _factors_x1,
+            "p23z1": _factors_z1, "x3": _factors_x3}
+
+
+def _vec_x3(theta: float, lam, a, b):
+    """x3 eigenvector, (4, ...), for the dispersive pair k = 3, 4."""
+    s, c = np.sin(theta), np.cos(theta)
     den = (c + 1) * lam**2 * (a**2 + 1) + a * b * (1 - c) * (lam**2 - 1) \
         - 2 * a * lam * (lam**2 + c)
     v1 = -(a - lam) * (b - lam) * s
     v2 = -a * (b - lam) * (a * lam - 1) * s
     v4 = b * (a - lam) * (a * lam - 1) * (c + 1)
-    return np.stack(np.broadcast_arrays(v1, v2, den, v4), axis=-1)
-
-
-_VEC = {"p24y1": _vec_y1, "p34x1": _vec_x1, "p23z1": _vec_z1, "x3": _vec_x3}
-
-
-def closed_form_eigenvectors(family: str, theta: float, lam, wn, wm) -> np.ndarray:
-    """Unnormalized eigenvector formula values, shape (..., 4)."""
-    s, c = np.sin(theta), np.cos(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _VEC[family](s, c, lam, wn, wm)
+    return np.stack(np.broadcast_arrays(v1, v2, den, v4))
 
 
 def _dense_eig(U: np.ndarray, targets: np.ndarray | None = None):
@@ -156,16 +174,32 @@ def _blocks_tensor(C: np.ndarray, N: int) -> np.ndarray:
     return d[..., :, None] * C
 
 
+def _closed_form_vecs(family: str, theta: float, lams: np.ndarray, wn, wm) -> np.ndarray:
+    """Unnormalized eigenvectors (..., 4, 4) indexed [..., k, :] at momenta
+    wn, wm that broadcast to lams[..., 0]. lam = -1, +1 are scalars, so on
+    the (N, 1) x (1, N) grid their vectors are outer products of O(N) factor
+    values. The factor temporaries die on return, before the caller's
+    residual check, where the eigensystem's memory peaks."""
+    vecs = np.empty(lams.shape + (4,), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(4):
+            lam = (-1.0, 1.0)[k] if k < 2 else lams[..., k]
+            if k >= 2 and family == "x3":
+                v = _vec_x3(theta, lam, wn, wm)
+            else:
+                px, qy = _FACTORS[family](theta, lam, wn, wm)
+                v = px * qy
+            vecs[..., k, :] = np.moveaxis(v, 0, -1)
+    return vecs
+
+
 @lru_cache(maxsize=32)
 def _family_eigensystem_cached(family: str, theta: float, N: int):
-    q = np.arange(N)
-    zn = 2 * np.pi * q / N
-    ZN, ZM = np.meshgrid(zn, zn, indexing="ij")
-    WN, WM = np.exp(1j * ZN), np.exp(1j * ZM)
-    lams = closed_form_eigenvalues(family, theta, ZN, ZM)          # (N,N,4)
-    vecs = np.empty((N, N, 4, 4), dtype=complex)                   # [n,m,k,:]
-    for k in range(4):
-        vecs[:, :, k, :] = closed_form_eigenvectors(family, theta, lams[..., k], WN, WM)
+    zn = 2 * np.pi * np.arange(N) / N
+    w = np.exp(1j * zn)
+    wn, wm = w[:, None], w[None, :]
+    lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])   # (N,N,4)
+    vecs = _closed_form_vecs(family, theta, lams, wn, wm)          # [n,m,k,:]
     C = coin_from_theta(family, theta).entries
     U = _blocks_tensor(C, N)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -177,8 +177,8 @@ def time_averaged_chirality_profile(C, N: int, S: str, T: int,
     _check_coords(x, y, N)
     half = (N - 1) // 2
     ix, iy = x + half, y + half
-    acc = np.zeros(4)
-    for _ in range(T):
-        acc += np.abs(state.amps[:, ix, iy]) ** 2
+    acc = np.abs(state.amps[:, ix, iy]) ** 2
+    for _ in range(T - 1):
         state = step(state, C)
+        acc += np.abs(state.amps[:, ix, iy]) ** 2
     return acc / T

@@ -1,5 +1,5 @@
-"""Public API guard: every exported name resolves, and the coins module
-keeps its public names."""
+"""Public API guard: every exported name resolves, and the coins, spectral
+and localization modules keep their public names."""
 
 import importlib
 
@@ -26,4 +26,24 @@ def test_coins_public_names_frozen():
         "set_member_from_theta", "in_pattern_set",
         "chain_ids", "chain_sets", "group_closure_sample",
         "coin_to_json", "coin_from_json",
+    ]
+
+
+def test_spectral_public_names_frozen():
+    from coinwalk import spectral
+    assert spectral.__all__ == [
+        "SpectralBlock", "DegeneracyClass",
+        "build_block", "closed_form_eigs", "coin_eigensystem",
+        "omega_class", "c_coefficient", "c_table_p24y1",
+        "finite_N_pbar", "finite_N_pbar_matrix",
+        "eta_matrix", "reconstruct_state", "spectrum_rows", "coefficient_rows",
+    ]
+
+
+def test_localization_public_names_frozen():
+    from coinwalk import localization
+    assert localization.__all__ == [
+        "QuadratureSpec", "theta_grid",
+        "pbar_matrix", "pbar_infinity_pair", "pbar_infinity_total",
+        "sweep_theta", "theorem36_check", "convergence_delta",
     ]

@@ -166,7 +166,15 @@ def test_walk_simulate_rejects_negative_T(capsys):
     code = main(["walk", "simulate", "--family", "p24y1", "--theta", "0.7",
                  "--N", "5", "--T", "-3"])
     assert code == 2
-    assert capsys.readouterr() == ("", "error: T must be >= 0\n")
+    assert capsys.readouterr() == ("", "error: T must be >= 1\n")
+
+
+def test_walk_simulate_rejects_empty_average(capsys):
+    # T = 0 would print a time average over no steps
+    code = main(["walk", "simulate", "--family", "p24y1", "--theta", "0.7",
+                 "--N", "5", "--T", "0"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: T must be >= 1\n")
 
 
 def test_walk_simulate_checks_coin_at_T0(capsys):

@@ -13,10 +13,9 @@ from coinwalk.localization import (
     sweep_theta,
     theorem36_check,
     theta_grid,
-    _FACTORS,
     _integrals,
 )
-from coinwalk.spectral import c_table_p24y1, finite_N_pbar_matrix
+from coinwalk.spectral import _FACTORS, c_table_p24y1, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
 
 QUICK = QuadratureSpec(64)

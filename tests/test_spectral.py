@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk.coins import COIN_FAMILIES, coin_from_theta, grover_coin, set_member_from_theta
+from coinwalk.localization import QuadratureSpec
 from coinwalk.spectral import (
+    _FACTORS,
+    _RESID_TOL,
     _cluster_circle,
     _dense_eig,
     build_block,
@@ -304,6 +307,44 @@ def test_p24y1_interior_vectors_match_published_pm_one_branches():
                      (1 + c - s * wm) / ((1 + c) / wn - s), 1, wm])
     assert _parallel(v1, ref1)
     assert _parallel(v2, ref2)
+
+
+def _factor_residuals(family, theta, zn, zm):
+    """Relative residuals |U v - lam v| / |v| of v = px * qy at the momentum
+    pairs (zn, zm), one row per branch: lam = -1, +1 for every family, and
+    the closed-form e^{-+ia} for the Grover families."""
+    C = coin_from_theta(family, theta).entries
+    wn, wm = np.exp(1j * zn), np.exp(1j * zm)
+    U = np.stack([1 / wn, wn, 1 / wm, wm], axis=-1)[:, :, None] * C
+    dispersive = closed_form_eigenvalues(family, theta, zn, zm)[:, 2:].T
+    lams = [-1.0, 1.0] + ([] if family == "x3" else list(dispersive))
+    out = []
+    for lam in lams:
+        px, qy = _FACTORS[family](theta, lam, wn, wm)
+        v = (px * qy).T
+        r = np.einsum("bij,bj->bi", U, v) - np.asarray(lam)[..., None] * v
+        out.append(np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_factors_are_eigenvectors_off_grid(family):
+    # the one factor table serves both the finite-N grid and localization's
+    # quadrature nodes; check it at those nodes, with both momentum signs,
+    # and at seeded momenta on no grid
+    rng = np.random.default_rng(21)
+    x = QuadratureSpec(64).nodes()
+    zn = np.concatenate([x, -x, rng.uniform(-np.pi, np.pi, 200)])
+    zm = np.concatenate([x[::-1], x, rng.uniform(-np.pi, np.pi, 200)])
+    for theta in (-2.8, -0.9, 0.0, 1e-9, 0.33, 1.2, 2.6, 3.1):
+        assert _factor_residuals(family, theta, zn, zm).max() < 1e-12
+    for theta in (-1.571, 1.571):
+        res = _factor_residuals(family, theta, zn, zm)
+        assert res[:2].max() < 1e-12
+        # near theta = +-pi/2 the dispersive formulas lose digits where
+        # zn ~ -zm (about 5e-12 here); the eigensystem's block residual
+        # check still accepts them
+        assert res.max() < _RESID_TOL
 
 
 def test_x3_eigen_angle_relation():

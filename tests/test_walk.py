@@ -202,6 +202,21 @@ def test_chirality_profile_rejects_empty_average():
             time_averaged_chirality_profile(grover_coin(), 5, "R", T)
 
 
+def test_chirality_profile_steps_once_per_averaged_state(monkeypatch):
+    # the average reads t = 0..T-1, so it takes T - 1 steps
+    import coinwalk.walk as walk_mod
+    calls = []
+    real = walk_mod.step
+    monkeypatch.setattr(walk_mod, "step", lambda *a: calls.append(1) or real(*a))
+    got = time_averaged_chirality_profile(grover_coin(), 5, "R", 7)
+    assert len(calls) == 6
+    states = [initial_state(5, "R")]
+    for _ in range(6):
+        states.append(real(states[-1], grover_coin()))
+    want = np.mean([np.abs(s.amps[:, 2, 2]) ** 2 for s in states], axis=0)
+    assert np.abs(got - want).max() < 1e-15
+
+
 def test_chirality_profile_checks_coin():
     with pytest.raises(ValueError, match="unitary"):
         time_averaged_chirality_profile(np.eye(4) * 1.001, 5, "R", 1)
