@@ -42,6 +42,12 @@ def _emit(args, json_obj, csv_header, csv_rows) -> None:
             stream.close()
 
 
+def _emit_fields(args, obj, omit=()) -> None:
+    """obj as JSON, or as field/value CSV rows of JSON-encoded values."""
+    _emit(args, obj, ["field", "value"],
+          [[k, json.dumps(v)] for k, v in obj.items() if k not in omit])
+
+
 def _matrix_rows(M: np.ndarray):
     M = np.asarray(M)
     for i, row in enumerate(M):
@@ -80,7 +86,7 @@ def cmd_coin(args) -> int:
             "variety_residual": w.variety_residual(),
             "reconstruction_error": float(np.abs(w.reconstruct() - A).max()),
         }
-        _emit(args, obj, ["field", "value"], [[k, json.dumps(v)] for k, v in obj.items()])
+        _emit_fields(args, obj)
         return EXIT_OK
     # verify
     obj = {
@@ -88,7 +94,7 @@ def cmd_coin(args) -> int:
         "permutative": coins.is_permutative(A, args.tol),
         "orthogonality_residual": float(np.abs(A.T @ A - np.eye(4)).max()),
     }
-    _emit(args, obj, ["field", "value"], [[k, json.dumps(v)] for k, v in obj.items()])
+    _emit_fields(args, obj)
     return EXIT_OK
 
 
@@ -112,8 +118,7 @@ def cmd_space(args) -> int:
             "quadrangular": matspace.quadrangular(pat),
             "strongly_quadrangular": matspace.strongly_quadrangular(pat),
         }
-        _emit(args, obj, ["field", "value"],
-              [[k, json.dumps(v)] for k, v in obj.items() if k != "pattern"])
+        _emit_fields(args, obj, omit=("pattern",))
         return EXIT_OK
     if args.action == "partition":
         classes = matspace.six_class_partition()
@@ -123,8 +128,7 @@ def cmd_space(args) -> int:
         return EXIT_OK
     # c-family
     M = matspace.theorem217_family(args.variant, args.c2, args.branch)
-    H = matspace.hadamard_matrix()
-    HMH = H.T @ M @ H
+    corner, offblock = matspace._h_split(M)
     obj = {
         "variant": args.variant,
         "c2": args.c2,
@@ -132,8 +136,8 @@ def cmd_space(args) -> int:
         "matrix": M.tolist(),
         "orthogonal": coins.is_orthogonal(M, 1e-12),
         "permutative": coins.is_permutative(M, 1e-9),
-        "h_conjugate_corner": HMH[0, 0],
-        "h_conjugate_offblock": float(max(np.abs(HMH[0, 1:]).max(), np.abs(HMH[1:, 0]).max())),
+        "h_conjugate_corner": corner,
+        "h_conjugate_offblock": offblock,
     }
     _emit(args, obj, ["row", "c1", "c2", "c3", "c4"], _matrix_rows(M))
     return EXIT_OK
@@ -144,14 +148,13 @@ def cmd_walk(args) -> int:
     if args.action == "spectrum":
         if args.coefficients:
             rows = list(spectral.coefficient_rows(coin, args.N))
-            obj = {"family": args.family, "theta": args.theta, "N": args.N,
-                   "rows": [list(r) for r in rows]}
-            _emit(args, obj, ["S", "Sprime", "n", "m", "k", "re_c", "im_c"], rows)
-            return EXIT_OK
-        rows = list(spectral.spectrum_rows(coin, args.N))
+            header = ["S", "Sprime", "n", "m", "k", "re_c", "im_c"]
+        else:
+            rows = list(spectral.spectrum_rows(coin, args.N))
+            header = ["n", "m", "k", "re_lambda", "im_lambda"]
         obj = {"family": args.family, "theta": args.theta, "N": args.N,
                "rows": [list(r) for r in rows]}
-        _emit(args, obj, ["n", "m", "k", "re_lambda", "im_lambda"], rows)
+        _emit(args, obj, header, rows)
         return EXIT_OK
     # simulate: reject what the walk does not cover before any output
     walk._walk_coin(coin)
@@ -186,8 +189,7 @@ def cmd_localize(args) -> int:
     threads = args.threads
     if args.action == "theorem36":
         report = localization.theorem36_check(quad, grid=args.grid, threads=threads)
-        _emit(args, report, ["field", "value"],
-              [[k, json.dumps(v)] for k, v in report.items()])
+        _emit_fields(args, report)
         return EXIT_OK if report["passed"] else EXIT_NUMERIC
     if args.action == "sweep":
         S_list = list(walk.CHIRALITIES) if args.S.lower() == "all" else [args.S]
@@ -201,16 +203,14 @@ def cmd_localize(args) -> int:
         flagged = delta > 1e-4
     else:
         pm = localization.pbar_matrix(args.family, args.theta, quad)
+    obj = {"family": args.family, "theta": args.theta, "S": args.S}
     if args.action == "pair":
+        obj["Sprime"] = args.Sprime
         val = localization._pair_value(pm, args.S, args.Sprime)
-        obj = {"family": args.family, "theta": args.theta, "S": args.S,
-               "Sprime": args.Sprime, "quad_M": quad.M, "value": val,
-               "converged": not flagged}
     else:
         val = localization._total_value(pm, args.S)
-        obj = {"family": args.family, "theta": args.theta, "S": args.S,
-               "quad_M": quad.M, "value": val, "converged": not flagged}
-    _emit(args, obj, ["field", "value"], [[k, json.dumps(v)] for k, v in obj.items()])
+    obj.update(quad_M=quad.M, value=val, converged=not flagged)
+    _emit_fields(args, obj)
     return EXIT_NUMERIC if flagged else EXIT_OK
 
 

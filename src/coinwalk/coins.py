@@ -89,7 +89,9 @@ class Coin:
     entries is a read-only complex128 copy; exact, when present, carries the
     same matrix as Fractions (rational coins are exactly orthogonal in that
     representation). degenerate and unitary are derived from the fields, so
-    no constructor call can contradict them.
+    no constructor call can contradict them. A named family with a theta must
+    match that family's coin within 1e-12: the walk reads the entries, the
+    spectral closed forms read family and theta.
     """
 
     entries: np.ndarray
@@ -102,6 +104,9 @@ class Coin:
         e = np.array(self.entries, dtype=complex)
         if e.shape != (4, 4):
             raise ValueError("coin must be 4x4")
+        if self.family in COIN_FAMILIES and self.theta is not None:
+            if not np.abs(e - _family_matrix(self.family, float(self.theta))).max() <= 1e-12:
+                raise ValueError(f"entries differ from {self.family}(theta={self.theta})")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -112,7 +117,8 @@ class Coin:
     @property
     def degenerate(self) -> bool:
         """True at the theta = +-pi endpoints of the named families."""
-        return _degenerate(self.family, self.theta)
+        return (self.family in COIN_FAMILIES and self.theta is not None
+                and math.isclose(abs(self.theta), math.pi, rel_tol=0, abs_tol=1e-12))
 
     @cached_property
     def unitary(self) -> bool:
@@ -145,10 +151,15 @@ def set_member_from_theta(tag: str, theta) -> np.ndarray:
     return _block(tag[0], kind, sign, np.sin(theta) / 2, sign * (1 + np.cos(theta)) / 2)
 
 
-def _degenerate(family: str, theta: float | None) -> bool:
-    """True at the theta = +-pi endpoints of the named families."""
-    return (family in COIN_FAMILIES and theta is not None
-            and math.isclose(abs(theta), math.pi, rel_tol=0, abs_tol=1e-12))
+def _family_matrix(family: str, theta: float) -> np.ndarray:
+    """The matrix of a named walk family at theta (see coin_from_theta)."""
+    tag = family[-2:]
+    kind, sign = _J_KIND_SIGN[int(tag[1])]   # sign is +1 for all four
+    s, c = math.sin(theta), math.cos(theta)
+    # z of z1(pi - theta) is (1 + cos(pi - theta))/2 = (1 - c)/2; taking the
+    # right-hand side avoids rounding pi - theta
+    m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
+    return m if family == "x3" else _LEFT[tag[0]] @ m
 
 
 def coin_from_theta(family: str, theta: float) -> Coin:
@@ -167,15 +178,7 @@ def coin_from_theta(family: str, theta: float) -> Coin:
     theta = float(theta)
     if not (-math.pi <= theta <= math.pi):
         raise ValueError(f"theta={theta} out of range [-pi, pi]")
-    tag = family[-2:]
-    kind, sign = _J_KIND_SIGN[int(tag[1])]   # sign is +1 for all four
-    s, c = math.sin(theta), math.cos(theta)
-    # z of z1(pi - theta) is (1 + cos(pi - theta))/2 = (1 - c)/2; taking the
-    # right-hand side avoids rounding pi - theta
-    m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
-    if family != "x3":
-        m = _LEFT[tag[0]] @ m
-    return Coin(m, family=family, theta=theta)
+    return Coin(_family_matrix(family, theta), family=family, theta=theta)
 
 
 def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
@@ -210,7 +213,7 @@ def build_permutative(x_row, P, Q, R) -> Coin:
 def is_orthogonal(A, tol: float = 1e-9) -> bool:
     """max |A^T A - I| <= tol (transpose, not conjugate: complex orthogonal)."""
     A = np.asarray(A, dtype=complex)
-    return bool(np.abs(A.T @ A - np.eye(4)).max() <= tol)
+    return bool(np.abs(A.T @ A - np.eye(len(A))).max() <= tol)
 
 
 def is_unitary(A, tol: float = 1e-9) -> bool:

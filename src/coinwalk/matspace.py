@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coins import is_orthogonal, is_permutative
 from .perms import ALL_PERMS, Permutation4, from_cycles, perm_matrix
 
 __all__ = [
@@ -49,6 +50,14 @@ def basis_matrices() -> np.ndarray:
 _BASIS = basis_matrices()
 _BASIS_FLAT = _BASIS.reshape(10, 16).T          # 16 x 10
 _L_INDEX = {i: tuple(BASIS_NAMES.index(n) for n in names) for i, names in L_SPACES.items()}
+
+
+def _cross_terms(gens: np.ndarray) -> np.ndarray:
+    """X[l, m] = P_l^T P_m + P_m^T P_l for a (d, 4, 4) stack, shape
+    (d, d, 4, 4). With A = sum c_l P_l, A^T A = 1/2 sum_lm c_l c_m X[l, m]
+    and d(A^T A)/dc_l = sum_m c_m X[l, m]."""
+    PtQ = np.einsum("lji,mjk->lmik", gens, gens)
+    return PtQ + PtQ.swapaxes(0, 1)
 
 
 class NotInLError(ValueError):
@@ -173,35 +182,42 @@ def hadamard_matrix() -> np.ndarray:
 _H = hadamard_matrix()
 
 
+def _h_split(A) -> tuple[float, float]:
+    """The (1,1) entry of H^T A H and the largest |entry| in the rest of its
+    first row and column: +-1 and 0 for orthogonal members of the span."""
+    B = _H.T @ _as_real(A) @ _H
+    return B[0, 0], float(max(np.abs(B[0, 1:]).max(), np.abs(B[1:, 0]).max()))
+
+
 def hadamard_row_sum_check(A, tol: float = 1e-9) -> int:
     """Sign of the constant row/column sum of an orthogonal member of the
     permutation span, read off the (1,1) entry of H^T A H."""
-    B = _H.T @ _as_real(A) @ _H
-    if abs(abs(B[0, 0]) - 1) > tol or max(np.abs(B[0, 1:]).max(), np.abs(B[1:, 0]).max()) > tol:
+    corner, offblock = _h_split(A)
+    if abs(abs(corner) - 1) > tol or offblock > tol:
         raise ValueError("matrix is not an orthogonal member of the permutation span")
-    return 1 if B[0, 0] > 0 else -1
+    return 1 if corner > 0 else -1
+
+
+# Theorem 2.17 border sign s: each family member has first row s/2 (1, -1, -1, -1)
+_T217_SIGN = {"c1": -1, "c2": 1}
+
+
+def _theorem217_a4(variant: str, c2: float, branch: int) -> tuple[int, float]:
+    """The border sign s and the free entry a4."""
+    if variant not in _T217_SIGN:
+        raise ValueError("variant must be 'c1' or 'c2'")
+    s = _T217_SIGN[variant]
+    disc = (1 + 3 * s * c2) * (1 - s * c2)
+    if disc < -1e-12:
+        raise ValueError(f"c2={c2} outside the parameter interval (negative discriminant)")
+    return s, -0.5 * c2 + branch * 0.5 * np.sqrt(max(disc, 0.0))
 
 
 def theorem217_block(variant: str, c2: float, branch: int = 1) -> np.ndarray:
     """The 3x3 circulant block the variant's members H-conjugate to."""
-    a4 = _theorem217_a4(variant, c2, branch)
-    if variant == "c1":
-        d = [-0.5 + a4, -0.5 - a4 - c2, c2]
-    else:
-        d = [0.5 + a4, 0.5 - a4 - c2, c2]
+    s, a4 = _theorem217_a4(variant, c2, branch)
+    d = [s / 2 + a4, s / 2 - a4 - c2, c2]
     return np.array([[d[0], d[1], d[2]], [d[1], d[2], d[0]], [d[2], d[0], d[1]]])
-
-
-def _theorem217_a4(variant: str, c2: float, branch: int) -> float:
-    if variant == "c1":
-        disc = (1 - 3 * c2) * (1 + c2)
-    elif variant == "c2":
-        disc = (1 + 3 * c2) * (1 - c2)
-    else:
-        raise ValueError("variant must be 'c1' or 'c2'")
-    if disc < -1e-12:
-        raise ValueError(f"c2={c2} outside the parameter interval (negative discriminant)")
-    return -0.5 * c2 + branch * 0.5 * np.sqrt(max(disc, 0.0))
 
 
 def theorem217_family(variant: str, c2: float, branch: int = 1) -> np.ndarray:
@@ -211,22 +227,14 @@ def theorem217_family(variant: str, c2: float, branch: int = 1) -> np.ndarray:
     variant "c2" negates it and takes c2 in [-1/3, 1]. branch selects the
     square-root sign for the free entry.
     """
-    variant = variant.lower()
-    a4 = _theorem217_a4(variant, c2, branch)
-    d = (0.5 + c2) if variant == "c1" else (-0.5 + c2)
-    e = -a4 - c2
-    if variant == "c1":
-        return np.array([
-            [-0.5, 0.5, 0.5, 0.5],
-            [0.5, d, e, a4],
-            [0.5, e, a4, d],
-            [0.5, a4, d, e],
-        ])
+    s, a4 = _theorem217_a4(variant.lower(), c2, branch)
+    b = s / 2
+    d, e = c2 - b, -a4 - c2
     return np.array([
-        [0.5, -0.5, -0.5, -0.5],
-        [-0.5, d, e, a4],
-        [-0.5, e, a4, d],
-        [-0.5, a4, d, e],
+        [b, -b, -b, -b],
+        [-b, d, e, a4],
+        [-b, e, a4, d],
+        [-b, a4, d, e],
     ])
 
 
@@ -238,17 +246,10 @@ def two_permutation_check() -> dict:
     matrix is integer and never zero for P != Q, so orthogonality forces
     a*b = 0 and a^2 + b^2 = 1.
     """
-    mats = [p.matrix().astype(int) for p in ALL_PERMS]
-    pairs = nonzero = 0
-    for i, P in enumerate(mats):
-        for k, Q in enumerate(mats):
-            if i == k:
-                continue
-            pairs += 1
-            S = P.T @ Q + Q.T @ P
-            off = S - np.diag(np.diag(S))
-            if off.any():
-                nonzero += 1
+    X = _cross_terms(np.stack([p.matrix().astype(int) for p in ALL_PERMS]))
+    off = (X * (1 - np.eye(4, dtype=int))).any(axis=(2, 3))
+    distinct = ~np.eye(len(ALL_PERMS), dtype=bool)
+    pairs, nonzero = int(distinct.sum()), int(off[distinct].sum())
     return {"pairs": pairs, "cross_term_nonzero": nonzero,
             "nontrivial_solutions": pairs - nonzero}
 
@@ -265,26 +266,19 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int,
     rng = np.random.default_rng(seed)
     c = rng.normal(0, 1, (trials, d))
     iu = np.triu_indices(4)
-
-    def residual(cc):
-        A = np.tensordot(cc, gens, axes=1)
-        G = np.einsum("bji,bjk->bik", A, A) - np.eye(4)
-        return A, G[:, iu[0], iu[1]]
-
+    # J[b, l] = d(A^T A)[triu]/dc_l = c[b] . X[:, l][triu], and A^T A = J c / 2
+    X = _cross_terms(gens)[:, :, iu[0], iu[1]].reshape(d, d * 10)
+    eye = np.eye(4)[iu]
     for _ in range(newton_steps):
-        A, f = residual(c)
-        # d/dc_l (A^T A) = gens_l^T A + A^T gens_l
-        J = (np.einsum("lji,bjk->blik", gens, A)
-             + np.einsum("bji,ljk->blik", A, gens))[:, :, iu[0], iu[1]]
-        J = np.swapaxes(J, 1, 2)                       # (b, 10, d)
+        J = (c @ X).reshape(-1, d, 10)
+        f = 0.5 * (c[:, None, :] @ J)[:, 0] - eye
         # Levenberg-Marquardt damping keeps rank-deficient starts solvable
         mu = 1e-12 + 1e-2 * (f**2).sum(axis=1)
-        JtJ = np.einsum("bri,brk->bik", J, J) + mu[:, None, None] * np.eye(d)
-        rhs = -np.einsum("bri,br->bi", J, f)
-        c = c + np.linalg.solve(JtJ, rhs[..., None])[..., 0]
-    A, f = residual(c)
-    ok = np.abs(f).max(axis=1) <= tol
-    return A[ok]
+        JtJ = J @ J.swapaxes(1, 2) + mu[:, None, None] * np.eye(d)
+        c = c - np.linalg.solve(JtJ, J @ f[..., None])[..., 0]
+    A = np.tensordot(c, gens, axes=1)
+    G = A.swapaxes(1, 2) @ A - np.eye(4)
+    return A[np.abs(G[:, iu[0], iu[1]]).max(axis=1) <= tol]
 
 
 def direct_sum_components(A, tol: float = 1e-12) -> list[tuple[list[int], list[int]]]:
@@ -325,10 +319,7 @@ def is_perm_equivalent_direct_sum(A, tol: float = 1e-9, pattern_tol: float | Non
         if len(rows) != len(cols):
             return False
         block = np.asarray(A)[np.ix_(rows, cols)]
-        s = np.sort_complex(block.astype(complex))
-        if np.abs(s - s[0]).max() > tol:
-            return False
-        if np.abs(block.T @ block - np.eye(len(rows))).max() > tol:
+        if not (is_permutative(block, tol) and is_orthogonal(block, tol)):
             return False
     return True
 
@@ -338,5 +329,4 @@ def satisfies_span_dichotomy(A, tol: float = 1e-6) -> bool:
     orthogonal blocks. Samples produced by Gauss-Newton sit at square-root
     precision near variety corners (e.g. signed permutations), hence the
     default tolerance."""
-    from .coins import is_permutative
     return is_permutative(A, tol) or is_perm_equivalent_direct_sum(A, tol)

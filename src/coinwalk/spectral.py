@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coins import Coin, COIN_FAMILIES, coin_from_theta, is_unitary
-from .walk import CHIRALITIES, WalkState, chirality_index
+from .walk import CHIRALITIES, WalkState, _check_lattice, chirality_index
 
 __all__ = [
     "SpectralBlock", "DegeneracyClass",
@@ -221,7 +221,9 @@ def _family_eigensystem_cached(family: str, theta: float, N: int):
 
 def coin_eigensystem(coin, N: int):
     """Eigensystem of all N^2 blocks: eigenvalues (N,N,4), unit eigenvectors
-    (N,N,4,4) indexed [n,m,k,:], fallback mask (N,N), blocks (N,N,4,4)."""
+    (N,N,4,4) indexed [n,m,k,:], fallback mask (N,N), blocks (N,N,4,4).
+    N must be a lattice side the walk accepts: odd and >= 3."""
+    N = _check_lattice(N)
     fam = _family_theta(coin)
     if fam is not None:
         return _family_eigensystem_cached(fam[0], fam[1], N)

@@ -1,5 +1,5 @@
-"""Public API guard: every exported name resolves, and the coins, spectral
-and localization modules keep their public names."""
+"""Public API guard: every exported name resolves, and the coins, matspace,
+spectral and localization modules keep their public names."""
 
 import importlib
 
@@ -26,6 +26,21 @@ def test_coins_public_names_frozen():
         "set_member_from_theta", "in_pattern_set",
         "chain_ids", "chain_sets", "group_closure_sample",
         "coin_to_json", "coin_from_json",
+    ]
+
+
+def test_matspace_public_names_frozen():
+    from coinwalk import matspace
+    assert matspace.__all__ == [
+        "BASIS_NAMES", "basis_matrices", "LinearSumDecomposition", "decompose_linear_sum",
+        "NotInLError", "subspace_membership", "L_SPACES",
+        "h_orthogonal", "six_class_partition",
+        "quadrangular", "strongly_quadrangular",
+        "hadamard_matrix", "hadamard_row_sum_check",
+        "theorem217_family", "theorem217_block",
+        "two_permutation_check", "sample_orthogonal_in_span",
+        "direct_sum_components", "is_perm_equivalent_direct_sum",
+        "satisfies_span_dichotomy",
     ]
 
 

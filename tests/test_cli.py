@@ -185,6 +185,17 @@ def test_walk_simulate_checks_coin_at_T0(capsys):
         "", "error: walk evolution excludes the degenerate theta = +-pi coins\n")
 
 
+@pytest.mark.parametrize("N", ["4", "0"])
+@pytest.mark.parametrize("extra", [[], ["--coefficients"]])
+def test_walk_spectrum_rejects_lattices_simulate_rejects(capsys, N, extra):
+    args = ["--family", "p24y1", "--theta", "0.7", "--N", N]
+    assert main(["walk", "simulate"] + args) == 2
+    want = capsys.readouterr()
+    assert want == ("", f"error: lattice side must be odd and >= 3, got {N}\n")
+    assert main(["walk", "spectrum"] + args + extra) == 2
+    assert capsys.readouterr() == want
+
+
 def test_walk_simulate_calls_step_and_probability_per_step(capsys, monkeypatch):
     # the traced benchmark run builds its walk.* metrics from these spans
     import coinwalk.walk as walk_mod

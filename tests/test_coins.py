@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -310,6 +311,36 @@ def test_degenerate_derived_from_family_and_theta():
         finite_N_pbar(c, "R", "R", 5)
     with pytest.raises(TypeError):
         Coin(c.entries, family="p24y1", theta=math.pi, degenerate=False)
+
+
+def test_coin_rejects_entries_contradicting_family_theta():
+    # the walk evolves the entries while the spectral code uses the named
+    # family's closed forms, so a contradiction would split the two
+    x3 = coin_from_theta("x3", 0.7).entries
+    with pytest.raises(ValueError, match=r"entries differ from p34x1\(theta=0.7\)"):
+        Coin(x3, family="p34x1", theta=0.7)
+    with pytest.raises(ValueError, match="differ"):
+        Coin(coin_from_theta("p24y1", 0.7).entries, family="p24y1", theta=0.7 + 1e-9)
+    with pytest.raises(ValueError, match="differ"):
+        Coin(x3, family="x3", theta=math.nan)
+    # without a named family or a theta there is nothing to contradict
+    assert Coin(x3, family="raw", theta=0.7).family == "raw"
+    assert Coin(x3, family="p34x1").theta is None
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("theta", [-math.pi, -math.pi / 2, 0.0, 0.7, 3.0, math.pi])
+def test_named_coins_load_through_json_text(family, theta):
+    c = coin_from_theta(family, theta)
+    back = coin_from_json(json.loads(json.dumps(coin_to_json(c))))
+    assert (back.family, back.theta) == (family, theta)
+    assert np.array_equal(back.entries, c.entries)
+
+
+def test_grover_coin_is_its_family_member():
+    g = grover_coin()
+    assert np.abs(g.entries - coin_from_theta("p24y1", -math.pi / 2).entries).max() < 1e-15
+    assert coin_from_json(json.loads(json.dumps(coin_to_json(g)))).family == "p24y1"
 
 
 def test_coin_entries_read_only_copy():

@@ -420,6 +420,25 @@ def test_complex_orthogonal_raw_coin_rejected():
         finite_N_pbar_matrix(a, 5)
 
 
+@pytest.mark.parametrize("N", [4, 0, 1, -3])
+def test_spectral_rejects_lattices_the_walk_rejects(N):
+    # every spectral consumer reads coin_eigensystem, which checks the side
+    # before the cache lookup, on both the closed-form and the raw-coin path
+    c = coin_from_theta("p24y1", 0.7)
+    msg = f"lattice side must be odd and >= 3, got {N}"
+    with pytest.raises(ValueError, match=msg):
+        initial_state(N, "R")
+    for coin in (c, c.entries):
+        with pytest.raises(ValueError, match=msg):
+            coin_eigensystem(coin, N)
+    with pytest.raises(ValueError, match=msg):
+        reconstruct_state(c, N, "R", 3)
+    with pytest.raises(ValueError, match=msg):
+        list(spectrum_rows(c, N))
+    with pytest.raises(ValueError, match=msg):
+        finite_N_pbar_matrix(c, N)
+
+
 # ---------------------------------------------------------------------------
 # the batched dense eigensolve against a per-block oracle
 
