@@ -14,7 +14,12 @@ written once in each direction:
   all 18 by default, and returns how far each transformed matrix lies from
   each of the four (kind, sign) blocks built from its own entries.
   `classify`, `classify_batch_errors`, `in_pattern_set` and
-  `group_closure_sample` all read through it.
+  `group_closure_sample` all read through it. It works on blocks of
+  `_ROWS` matrices in float arithmetic only, entry position first. The
+  part the four blocks share is computed once per block: the distance at
+  the eight positions outside both EC supports, and at the other kind's
+  EC positions. Each (kind, sign) block adds only its own four signed
+  positions.
 """
 
 from __future__ import annotations
@@ -68,6 +73,16 @@ def _gather_index(fam: str, left: Permutation4) -> np.ndarray:
 # the 18 (conjugator, left) transforms, family-major: row t of _GATHER reads
 # family "xyz"[t // 6] under left permutation ONE_PLUS_P3[t % 6]
 _GATHER = np.array([_gather_index(f, left) for f in "xyz" for left in ONE_PLUS_P3])
+# _residuals reads the 16 entries in this order: the 8 positions outside both
+# EC supports (the slots (1, 1) and (1, 3) first), then EC_m's, then EC_n's
+_ORDER = np.concatenate([np.flatnonzero(_EC["m"] + _EC["n"] == 0),
+                         np.flatnonzero(_EC["m"]), np.flatnonzero(_EC["n"])])
+_READ = _GATHER[:, _ORDER].T                               # (16, 18)
+_E12 = np.stack([_E1.ravel(), _E2.ravel()], axis=1)[_ORDER].astype(float)  # (16, 2)
+_SIGN = np.array([1.0, -1.0])[:, None, None]               # the sign axis of a kind
+# matrices per block of _residuals: its (2, 16, 18 * 128) float64
+# temporaries are 590 KB each and stay in L2
+_ROWS = 128
 # (family, left-multiplied) -> the transform that reads that bare set
 # (ONE_PLUS_P3[0] is the identity)
 _SET_TRANSFORM = {(f, lm): 6 * i + (ONE_PLUS_P3.index(matrix_to_perm(_LEFT[f])) if lm else 0)
@@ -284,23 +299,43 @@ def _residuals(mats: np.ndarray, transforms=slice(None)):
     matrix minus the block j = 1..4 (see _J_KIND_SIGN) built from its own
     slots; and those slots (B, T, 2), the entries (1, 1) and (1, 3).
     Residuals come from squared moduli, so those below about 1e-154
-    underflow to 0.
+    underflow to 0; a row with a NaN or infinite entry gets a NaN or
+    infinite residual.
+
+    The batch is read in blocks of _ROWS matrices, entry position first and
+    real and imaginary parts apart, so each step is one float operation on
+    contiguous rows. Every block shares base = slot1*E1 + slot2*E2 and the
+    squared distance T - base outside its own kind's four EC positions; at
+    those it takes T - (base + sign) in that order, which rounds as the
+    complex |T - (base + sign*EC)| does, so the two agree to the last bit.
     """
-    T = mats.reshape(len(mats), 16)[:, _GATHER[transforms]]
-    slots = T[..., [0, 2]]
-    base = slots[..., :1] * _E1.ravel()
-    base += slots[..., 1:] * _E2.ravel()
-    # squared modulus of T - (base + sign*EC), maximised before the square
-    # root; EC is real, so the imaginary part is shared by all four blocks
-    im2 = T.imag - base.imag
-    im2 *= im2
-    sq = np.empty(T.shape[:2] + (4,))
-    for j, (kind, sign) in _J_KIND_SIGN.items():
-        d = T.real - (base.real + sign * _EC[kind].ravel())
-        d *= d
-        d += im2
-        sq[..., j - 1] = d.max(axis=-1)
-    return np.sqrt(sq), slots
+    flat = mats.reshape(len(mats), 16)
+    read = _READ[:, transforms]
+    B, nt = len(flat), read.shape[1]
+    res = np.empty((B, nt, 4))
+    slots = np.empty((B, nt, 2), dtype=complex)
+    for b0 in range(0, B, _ROWS):
+        blk = flat[b0:b0 + _ROWS]
+        n = len(blk)
+        T = np.stack((blk.real.T, blk.imag.T))[:, read]   # (re/im, position, transform, matrix)
+        s = slots[b0:b0 + n]
+        s.real, s.imag = T[0, :2].T, T[1, :2].T
+        T = T.reshape(2, 16, nt * n)
+        base = _E12 @ T[:, :2]  # exact: E1 and E2 are 0/+-1 with disjoint supports
+        # (kind, sign, EC position, item); an item is a (transform, matrix) pair
+        e = T[0, 8:].reshape(2, 1, 4, -1) - (base[0, 8:].reshape(2, 1, 4, -1) + _SIGN)
+        T -= base
+        T *= T
+        e *= e
+        e += T[1, 8:].reshape(2, 1, 4, -1)
+        d2 = T[0]
+        d2 += T[1]
+        # a kind's unsigned part: outside both EC supports, and the other kind's EC
+        shared = np.maximum(d2[:8].max(axis=0), d2[8:].reshape(2, 4, -1).max(axis=1)[::-1])
+        sq = np.maximum(e.max(axis=2), shared[:, None])
+        res[b0:b0 + n] = sq.reshape(4, nt, n).T
+    np.sqrt(res, out=res)
+    return res, slots
 
 
 def _canonical_witness(mats: np.ndarray, tol: float):
@@ -355,7 +390,10 @@ def classify_batch_errors(mats: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     Vectorized version of the classify -> reconstruct round trip, with the
     same candidate order and tight pass. Items matching no pattern get +inf.
     """
-    return _canonical_witness(np.asarray(mats, dtype=complex), tol)[1]
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+        raise ValueError(f"classify_batch_errors expects a (B, 4, 4) batch, got shape {mats.shape}")
+    return _canonical_witness(mats, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +446,10 @@ def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
     the set is premultiplied by its family's generalized-Grover factor."""
     if tag not in SET_TAGS:
         raise ValueError(f"unknown set tag {tag!r}")
-    A = np.asarray(A, dtype=complex).reshape(1, 4, 4)
-    res, _ = _residuals(A, [_SET_TRANSFORM[tag[0], bool(left)]])
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (4, 4):
+        raise ValueError("in_pattern_set expects a 4x4 matrix")
+    res, _ = _residuals(A[None], [_SET_TRANSFORM[tag[0], bool(left)]])
     return bool(res[0, 0, int(tag[1]) - 1] <= tol)
 
 
@@ -418,6 +458,8 @@ def group_closure_sample(chain_id: str, count: int, seed: int,
     """Sample pairs from a chain group, form products and transposes, and
     report the fraction that lands back in the group (1.0 when closed)."""
     sets = chain_sets(chain_id)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
 
     def draw(n):

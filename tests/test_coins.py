@@ -463,3 +463,79 @@ def test_classify_noisy_input_uses_loose_pass():
     noisy = c + rng.normal(0, 1e-11, (4, 4))
     w = classify(noisy, tol=1e-9)
     assert np.abs(w.reconstruct() - noisy).max() < 1e-9
+
+
+def _reference_residuals(mats, transforms=slice(None)):
+    # the complex full-width kernel that the row-blocked _residuals replaced
+    from coinwalk.coins import _E1, _E2, _EC, _GATHER, _J_KIND_SIGN
+    T = mats.reshape(len(mats), 16)[:, _GATHER[transforms]]
+    slots = T[..., [0, 2]]
+    base = slots[..., :1] * _E1.ravel()
+    base += slots[..., 1:] * _E2.ravel()
+    im2 = T.imag - base.imag
+    im2 *= im2
+    sq = np.empty(T.shape[:2] + (4,))
+    for j, (kind, sign) in _J_KIND_SIGN.items():
+        d = T.real - (base.real + sign * _EC[kind].ravel())
+        d *= d
+        d += im2
+        sq[..., j - 1] = d.max(axis=-1)
+    return np.sqrt(sq), slots
+
+
+def test_residuals_match_reference_kernel():
+    from coinwalk.coins import _SET_TRANSFORM, _residuals
+    rng = np.random.default_rng(10)
+    parts = []
+    for tag in SET_TAGS:
+        th = rng.uniform(-np.pi, np.pi, 80).astype(complex)
+        th[:40] += 1j * rng.normal(0, 0.7, 40)
+        m = set_member_from_theta(tag, th)
+        m[::2] = LEFT[tag[0]] @ m[::2]
+        parts.append(m)
+    parts.append(rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4)))
+    parts.append(rng.choice([-0.5, 0.5], (40, 4, 4)) + 1e-13 * rng.normal(size=(40, 4, 4)))
+    mats = np.concatenate(parts).astype(complex)
+    mats = mats[rng.permutation(len(mats))]
+    assert len(mats) == 1040
+    subsets = [slice(None)] + [[t] for t in sorted(set(_SET_TRANSFORM.values()))]
+    subsets += [np.unique([_SET_TRANSFORM[f, lm] for f, _, lm in chain_sets(cid)])
+                for cid in chain_ids()]
+    for B in (1, 127, 128, 129, 1000):
+        for transforms in subsets:
+            res, slots = _residuals(mats[:B], transforms)
+            ref_res, ref_slots = _reference_residuals(mats[:B], transforms)
+            assert np.array_equal(res, ref_res)
+            assert np.array_equal(slots, ref_slots)
+
+
+def test_classify_batch_errors_non_finite_and_empty():
+    a = np.stack([set_member_from_theta("y2", 0.4)] * 4)
+    a[1, 2, 3] = np.nan
+    a[2, 0, 0] = np.inf
+    a[3, 3, 1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        errs = classify_batch_errors(a)
+    assert errs[0] <= 1e-15
+    assert np.all(errs[1:] == np.inf)
+    empty = classify_batch_errors(np.empty((0, 4, 4)))
+    assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(2, 16), (3, 4, 4, 1), (4, 4), (2, 3, 3), (16,)])
+def test_classify_batch_errors_rejects_non_batch_shapes(shape):
+    with pytest.raises(ValueError, match=r"expects a \(B, 4, 4\) batch"):
+        classify_batch_errors(np.zeros(shape))
+
+
+def test_in_pattern_set_rejects_non_4x4():
+    from coinwalk.coins import in_pattern_set
+    for a in (np.arange(16.0), np.eye(3), np.eye(4)[None]):
+        with pytest.raises(ValueError, match="in_pattern_set expects a 4x4 matrix"):
+            in_pattern_set(a, "x1")
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_group_closure_sample_rejects_count_below_one(count):
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        group_closure_sample("x1-full", count, seed=1)
