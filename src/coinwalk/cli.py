@@ -157,6 +157,8 @@ def cmd_walk(args) -> int:
         _emit(args, obj, header, rows)
         return EXIT_OK
     # simulate: reject what the walk does not cover before any output
+    if args.dump_state and args.format != "json":
+        raise ValueError("--dump-state needs --format json")
     walk._walk_coin(coin)
     if args.T < 1:
         raise ValueError("T must be >= 1")
@@ -179,7 +181,8 @@ def cmd_walk(args) -> int:
         "time_averaged": pbar,
     }
     if args.dump_state:
-        obj["amplitudes"] = [[v.real, v.imag] for v in state.to_vector()]
+        vec = state.to_vector()
+        obj["amplitudes"] = np.stack((vec.real, vec.imag), axis=1)
     _emit(args, obj, ["t", "x", "y", "P_t"], rows)
     return EXIT_OK
 
@@ -261,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--T", type=int, default=100)
     pw.add_argument("--S", default="R")
     pw.add_argument("--at", default="0,0")
-    pw.add_argument("--dump-state", action="store_true")
+    pw.add_argument("--dump-state", action="store_true",
+                    help="simulate: add the final amplitudes (JSON only)")
     pw.add_argument("--coefficients", action="store_true",
                     help="emit degeneracy-class coefficient sums instead of eigenvalues")
     _add_common(pw)

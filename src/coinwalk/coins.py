@@ -460,6 +460,8 @@ def group_closure_sample(chain_id: str, count: int, seed: int,
     sets = chain_sets(chain_id)
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not 0 <= complex_fraction <= 1:
+        raise ValueError("complex_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
 
     def draw(n):

@@ -62,3 +62,10 @@ def test_localization_public_names_frozen():
         "pbar_matrix", "pbar_infinity_pair", "pbar_infinity_total",
         "sweep_theta", "theorem36_check", "convergence_delta",
     ]
+
+
+def test_io_public_names_frozen():
+    # perfbench/trace.py names its io.* spans after these functions
+    from coinwalk import io
+    assert io.__all__ == ["fmt_float", "write_csv", "dump_json", "read_matrix_text",
+                          "open_out"]

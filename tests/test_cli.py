@@ -185,6 +185,27 @@ def test_walk_simulate_checks_coin_at_T0(capsys):
         "", "error: walk evolution excludes the degenerate theta = +-pi coins\n")
 
 
+def test_walk_simulate_dump_state_rejects_csv(capsys):
+    # CSV has no place for the amplitudes, so the flag would be dropped silently
+    code = main(["walk", "simulate", "--family", "p24y1", "--theta", "0.7",
+                 "--N", "5", "--T", "3", "--dump-state", "--format", "csv"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: --dump-state needs --format json\n")
+
+
+def test_walk_simulate_dump_state_round_trips_evolve(capsys):
+    from coinwalk import coins, walk
+    code, out = run(capsys, "walk", "simulate", "--family", "x3", "--theta", "-2.3",
+                    "--N", "7", "--T", "40", "--S", "U", "--dump-state")
+    assert code == 0
+    amps = json.loads(out)["amplitudes"]
+    assert all(len(a) == 2 for a in amps)
+    state = walk.WalkState.from_vector([complex(re, im) for re, im in amps], 7)
+    want = walk.evolve(walk.initial_state(7, "U"), coins.coin_from_theta("x3", -2.3), 40)
+    # repr round-trips every float, so the dumped state is the evolved one exactly
+    assert np.array_equal(state.amps, want.amps)
+
+
 @pytest.mark.parametrize("N", ["4", "0"])
 @pytest.mark.parametrize("extra", [[], ["--coefficients"]])
 def test_walk_spectrum_rejects_lattices_simulate_rejects(capsys, N, extra):

@@ -539,3 +539,9 @@ def test_in_pattern_set_rejects_non_4x4():
 def test_group_closure_sample_rejects_count_below_one(count):
     with pytest.raises(ValueError, match="count must be >= 1"):
         group_closure_sample("x1-full", count, seed=1)
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 1.5, 2.0, float("nan")])
+def test_group_closure_sample_rejects_complex_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"complex_fraction must lie in \[0, 1\]"):
+        group_closure_sample("x1-full", 10, seed=1, complex_fraction=fraction)
