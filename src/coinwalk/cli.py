@@ -144,6 +144,10 @@ def cmd_space(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    if args.action == "spectrum" and args.dump_state:
+        raise ValueError("--dump-state applies to walk simulate only")
+    if args.action == "simulate" and args.coefficients:
+        raise ValueError("--coefficients applies to walk spectrum only")
     coin = coins.coin_from_theta(args.family, args.theta)
     if args.action == "spectrum":
         if args.coefficients:
@@ -189,14 +193,15 @@ def cmd_walk(args) -> int:
 
 def cmd_localize(args) -> int:
     quad = localization.QuadratureSpec(args.quad_M)
-    threads = args.threads
+    if args.check_convergence and args.action in ("sweep", "theorem36"):
+        raise ValueError("--check-convergence applies to localize pair and total only")
     if args.action == "theorem36":
-        report = localization.theorem36_check(quad, grid=args.grid, threads=threads)
+        report = localization.theorem36_check(quad, grid=args.grid)
         _emit_fields(args, report)
         return EXIT_OK if report["passed"] else EXIT_NUMERIC
     if args.action == "sweep":
         S_list = list(walk.CHIRALITIES) if args.S.lower() == "all" else [args.S]
-        rows = localization.sweep_theta(args.family, S_list, args.points, quad, threads)
+        rows = localization.sweep_theta(args.family, S_list, args.points, quad)
         header = list(rows[0].keys())
         _emit(args, {"rows": rows}, header, [[r[h] for h in header] for r in rows])
         return EXIT_OK
@@ -280,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--points", type=int, default=400)
     pl.add_argument("--grid", type=int, default=25)
     pl.add_argument("--quad-M", dest="quad_M", type=int, default=512)
-    pl.add_argument("--threads", type=int, default=None,
-                    help="worker threads (env GW_THREADS)")
     pl.add_argument("--check-convergence", action="store_true")
     _add_common(pl)
     pl.set_defaults(func=cmd_localize)

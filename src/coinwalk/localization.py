@@ -13,13 +13,12 @@ spectral._FACTORS, the ones the finite-N eigensystem uses. Each integral
 then reduces to bilinear forms u_x^T K u_y with a single real M x M kernel
 shared by all momentum-sign variants. One pbar_matrix call (both branches,
 all 16 pairs) takes about 2 ms at M = 512 and 20 ms at M = 2048 on one core
-of a 2-core Xeon with OpenBLAS.
+of a 2-core Xeon with OpenBLAS. sweep_theta and theorem36_check call it
+once per theta point, in grid order, on the calling thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,30 +142,15 @@ def theta_grid(num_points: int = 400) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, num_points + 2)[1:-1]
 
 
-def _pbar_map(family: str, thetas, quad: QuadratureSpec, threads: int | None) -> list:
-    """pbar_matrix at each theta, in order, on `threads` workers (default
-    GW_THREADS, else 1)."""
-    if threads is None:
-        threads = int(os.environ.get("GW_THREADS", "1"))
-
-    def at(theta):
-        return pbar_matrix(family, theta, quad)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(at, thetas))
-    return [at(th) for th in thetas]
-
-
 def sweep_theta(family: str, S_list=("R",), num_points: int = 400,
-                quad: QuadratureSpec = QuadratureSpec(),
-                threads: int | None = None) -> list[dict]:
+                quad: QuadratureSpec = QuadratureSpec()) -> list[dict]:
     """Sweep the open theta interval; one row per (theta, S) with the total
     and the full 16-pair breakdown (pairs are S-independent)."""
     grid = theta_grid(num_points)
     S_list = [S.upper() for S in S_list]
     rows = []
-    for theta, pm in zip(grid, _pbar_map(family, grid, quad, threads)):
+    for theta in grid:
+        pm = pbar_matrix(family, theta, quad)
         pairs = {f"p_{si}{sj}": _pair_value(pm, si, sj)
                  for si in CHIRALITIES for sj in CHIRALITIES}
         for S in S_list:
@@ -182,15 +166,15 @@ def sweep_theta(family: str, S_list=("R",), num_points: int = 400,
 
 
 def theorem36_check(quad: QuadratureSpec = QuadratureSpec(), grid: int = 25,
-                    families=("p34x1", "p24y1", "p23z1"),
-                    threads: int | None = None) -> dict:
+                    families=("p34x1", "p24y1", "p23z1")) -> dict:
     """Max deviation of the same-chirality localization probability from 1/8
     over a theta grid, for the generalized Grover families."""
     thetas = theta_grid(grid)
     worst = 0.0
     worst_at = None
     for family in families:
-        for theta, pm in zip(thetas, _pbar_map(family, thetas, quad, threads)):
+        for theta in thetas:
+            pm = pbar_matrix(family, theta, quad)
             dev = float(np.abs(np.diag(pm) - 0.125).max())
             if dev > worst:
                 worst, worst_at = dev, (family, float(theta))

@@ -64,6 +64,26 @@ def test_localization_public_names_frozen():
     ]
 
 
+def test_localization_parameters_frozen():
+    # no knob joins the theta loops without a caller that needs it
+    import inspect
+    from coinwalk.localization import sweep_theta, theorem36_check
+    assert list(inspect.signature(sweep_theta).parameters) == [
+        "family", "S_list", "num_points", "quad"]
+    assert list(inspect.signature(theorem36_check).parameters) == [
+        "quad", "grid", "families"]
+
+
+def test_localize_cli_options_frozen():
+    from coinwalk.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "cmd")
+    options = sorted(s for a in sub.choices["localize"]._actions
+                     for s in a.option_strings)
+    assert options == ["--S", "--Sprime", "--check-convergence", "--family",
+                       "--format", "--grid", "--help", "--out", "--points",
+                       "--quad-M", "--theta", "-h"]
+
+
 def test_io_public_names_frozen():
     # perfbench/trace.py names its io.* spans after these functions
     from coinwalk import io

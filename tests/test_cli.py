@@ -139,7 +139,7 @@ def test_localize_sweep_deterministic_bytes(capsys, tmp_path):
             "--quad-M", "32", "--format", "csv"]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(f1)]) == 0
-    assert main(args + ["--out", str(f2), "--threads", "3"]) == 0
+    assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
     header = f1.read_text().split("\n")[0].split(",")
     assert header[:4] == ["family", "S", "theta", "p_total"]
@@ -191,6 +191,17 @@ def test_walk_simulate_dump_state_rejects_csv(capsys):
                  "--N", "5", "--T", "3", "--dump-state", "--format", "csv"])
     assert code == 2
     assert capsys.readouterr() == ("", "error: --dump-state needs --format json\n")
+
+
+@pytest.mark.parametrize("action, flag", [("spectrum", "--dump-state"),
+                                          ("simulate", "--coefficients")])
+def test_walk_rejects_flag_its_action_ignores(capsys, action, flag):
+    # the other action would run and drop the flag without a word
+    code = main(["walk", action, "--family", "x3", "--theta", "1.1", "--N", "5",
+                 "--T", "3", flag])
+    other = "simulate" if action == "spectrum" else "spectrum"
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {flag} applies to walk {other} only\n")
 
 
 def test_walk_simulate_dump_state_round_trips_evolve(capsys):
@@ -302,6 +313,30 @@ def test_localize_pair_convergence_flag_exit_3(capsys):
                     "--S", "U", "--Sprime", "U", "--quad-M", "512",
                     "--check-convergence")
     assert code == 0
+
+
+@pytest.mark.parametrize("action", ["sweep", "theorem36"])
+def test_localize_check_convergence_rejected_outside_pair_total(capsys, action):
+    code = main(["localize", action, "--points", "3", "--grid", "3", "--quad-M", "32",
+                 "--check-convergence"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: --check-convergence applies to localize pair and total only\n")
+
+
+def test_theta_thread_pool_removed(capsys, monkeypatch):
+    # one sequential theta loop: no --threads flag, no threads parameter,
+    # and GW_THREADS is not read, so a non-integer value cannot fail a run
+    from coinwalk.localization import sweep_theta
+    with pytest.raises(SystemExit) as exc:
+        main(["localize", "sweep", "--points", "3", "--quad-M", "32", "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(TypeError):
+        sweep_theta("x3", ("R",), 3, threads=2)
+    monkeypatch.setenv("GW_THREADS", "abc")
+    code, out = run(capsys, "localize", "theorem36", "--grid", "3", "--quad-M", "32")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_walk_simulate_time_average_matches_spectral(capsys):

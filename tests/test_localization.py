@@ -185,12 +185,6 @@ def test_sweep_rows_structure():
     assert r0["quad_M"] == 64
 
 
-def test_sweep_threaded_deterministic():
-    a = sweep_theta("x3", ("R",), num_points=6, quad=QUICK, threads=1)
-    b = sweep_theta("x3", ("R",), num_points=6, quad=QUICK, threads=4)
-    assert a == b
-
-
 def test_theorem36_check_quick():
     rep = theorem36_check(QUICK, grid=5)
     assert rep["passed"]
