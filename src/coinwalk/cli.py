@@ -166,7 +166,10 @@ def cmd_walk(args) -> int:
     walk._walk_coin(coin)
     if args.T < 1:
         raise ValueError("T must be >= 1")
-    x, y = (int(v) for v in args.at.split(","))
+    try:
+        x, y = (int(v) for v in args.at.split(","))
+    except ValueError:
+        raise ValueError(f"--at expects two integers x,y, got {args.at!r}") from None
     state = walk.initial_state(args.N, args.S)
     rows = []
     acc = 0.0

@@ -62,6 +62,8 @@ _LEFT = {"x": P34, "y": P24, "z": P23}  # multipliers of the generalized-Grover 
 
 # j -> (kind, sign); also the order of the last axis of _residuals
 _J_KIND_SIGN = {1: ("m", 1), 2: ("m", -1), 3: ("n", 1), 4: ("n", -1)}
+_KIND_SIGN_J = {ks: j for j, ks in _J_KIND_SIGN.items()}
+_MATCH_TOL = 1e-9  # of classify_batch_errors and group_closure_sample
 
 def _gather_index(fam: str, left: Permutation4) -> np.ndarray:
     """Flat indices reading Conj * left^T * A * Conj off A.reshape(16)."""
@@ -142,9 +144,8 @@ class Coin:
 
 
 def grover_coin() -> Coin:
-    """The 4x4 Grover diffusion coin (off-diagonal 1/2, diagonal -1/2)."""
-    g = np.full((4, 4), 0.5) - np.eye(4)
-    return Coin(g, family="p24y1", theta=-math.pi / 2)
+    """The Grover diffusion coin (off-diagonal 1/2, diagonal -1/2): p24y1 at theta = -pi/2."""
+    return coin_from_theta("p24y1", -math.pi / 2)
 
 
 def _block(fam: str, kind: str, sign: int, x, z) -> np.ndarray:
@@ -265,7 +266,7 @@ class FamilyWitness:
 
     @property
     def j(self) -> int:
-        return {("m", 1): 1, ("m", -1): 2, ("n", 1): 3, ("n", -1): 4}[(self.kind, self.sign)]
+        return _KIND_SIGN_J[self.kind, self.sign]
 
     @property
     def set_tag(self) -> str:
@@ -278,12 +279,12 @@ class FamilyWitness:
     def is_real(self) -> bool:
         return abs(complex(self.x).imag) < 1e-12 and abs(complex(self.z).imag) < 1e-12
 
-    def is_rational(self, max_denominator: int = 10**6, tol: float = 1e-12) -> bool:
-        """Both parameters are rationals with small denominator within tol."""
+    def is_rational(self) -> bool:
+        """Both parameters lie within 1e-12 of rationals with denominator <= 10**6."""
         if not self.is_real:
             return False
         for v in (complex(self.x).real, complex(self.z).real):
-            if abs(v - Fraction(v).limit_denominator(max_denominator)) > tol:
+            if abs(v - Fraction(v).limit_denominator(10**6)) > 1e-12:
                 return False
         return True
 
@@ -384,16 +385,16 @@ def classify(A, tol: float = 1e-9) -> FamilyWitness:
     return FamilyWitness("xyz"[fam], ONE_PLUS_P3[left], kind, sign, complex(x), complex(z))
 
 
-def classify_batch_errors(mats: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def classify_batch_errors(mats: np.ndarray) -> np.ndarray:
     """Reconstruction error of the canonical witness for a batch (B, 4, 4).
 
-    Vectorized version of the classify -> reconstruct round trip, with the
-    same candidate order and tight pass. Items matching no pattern get +inf.
+    Vectorized classify -> reconstruct round trip at tol 1e-9, with the same
+    candidate order and tight pass. Items matching no pattern get +inf.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise ValueError(f"classify_batch_errors expects a (B, 4, 4) batch, got shape {mats.shape}")
-    return _canonical_witness(mats, tol)[1]
+    return _canonical_witness(mats, _MATCH_TOL)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +454,19 @@ def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
     return bool(res[0, 0, int(tag[1]) - 1] <= tol)
 
 
-def group_closure_sample(chain_id: str, count: int, seed: int,
-                         tol: float = 1e-9, complex_fraction: float = 0.5) -> dict:
+def group_closure_sample(chain_id: str, count: int, seed: int) -> dict:
     """Sample pairs from a chain group, form products and transposes, and
-    report the fraction that lands back in the group (1.0 when closed)."""
+    report the fraction within 1e-9 of the group (1.0 when closed). Half of
+    each draw has a complex theta."""
     sets = chain_sets(chain_id)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not 0 <= complex_fraction <= 1:
-        raise ValueError("complex_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
 
     def draw(n):
         which = rng.integers(0, len(sets), n)
         th = rng.uniform(-np.pi, np.pi, n).astype(complex)
-        ncx = int(n * complex_fraction)
+        ncx = n // 2
         th[:ncx] += 1j * rng.normal(0, 0.7, ncx)
         out = np.empty((n, 4, 4), dtype=complex)
         for i, (fam, j, left) in enumerate(sets):
@@ -484,7 +483,7 @@ def group_closure_sample(chain_id: str, count: int, seed: int,
 
     def in_chain(mats):
         res = _residuals(mats, transforms)[0]
-        return (res[:, set_t, set_j] <= tol).any(axis=1)
+        return (res[:, set_t, set_j] <= _MATCH_TOL).any(axis=1)
 
     A, B = draw(count), draw(count)
     in_chain_prod = in_chain(np.einsum("bij,bjk->bik", A, B))

@@ -57,6 +57,7 @@ def _check_theta(theta: float) -> float:
 
 _PAIRS = np.triu_indices(4)   # the 10 independent (a <= b) pairs of a symmetric I_k
 _BLOCK = 1 << 16              # kernel entries per row block, 512 KB: stays in L2
+_GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")   # Theorem 3.6: diagonal 1/8
 
 
 def _integrals(family: str, theta: float, M: int, k: int) -> np.ndarray:
@@ -165,21 +166,20 @@ def sweep_theta(family: str, S_list=("R",), num_points: int = 400,
     return rows
 
 
-def theorem36_check(quad: QuadratureSpec = QuadratureSpec(), grid: int = 25,
-                    families=("p34x1", "p24y1", "p23z1")) -> dict:
+def theorem36_check(quad: QuadratureSpec = QuadratureSpec(), grid: int = 25) -> dict:
     """Max deviation of the same-chirality localization probability from 1/8
     over a theta grid, for the generalized Grover families."""
     thetas = theta_grid(grid)
     worst = 0.0
     worst_at = None
-    for family in families:
+    for family in _GROVER_FAMILIES:
         for theta in thetas:
             pm = pbar_matrix(family, theta, quad)
             dev = float(np.abs(np.diag(pm) - 0.125).max())
             if dev > worst:
                 worst, worst_at = dev, (family, float(theta))
     return {
-        "families": list(families),
+        "families": list(_GROVER_FAMILIES),
         "grid": grid,
         "quad_M": quad.M,
         "max_abs_deviation": worst,

@@ -104,15 +104,15 @@ def decompose_linear_sum(A) -> LinearSumDecomposition:
     return LinearSumDecomposition(coeffs, float(resid))
 
 
-def subspace_membership(A, tol: float = 1e-10) -> set[int]:
-    """Indices i with a nonzero L_i component of A; raises NotInLError when
-    A is not in the span."""
+def subspace_membership(A) -> set[int]:
+    """Indices i with an L_i component of A above 1e-10; raises NotInLError
+    when A is not in the span (residual above 1e-10)."""
     dec = decompose_linear_sum(A)
-    if dec.residual > tol:
-        raise NotInLError(f"residual {dec.residual:.3e} exceeds {tol:.1e}")
+    if dec.residual > 1e-10:
+        raise NotInLError(f"residual {dec.residual:.3e} exceeds 1.0e-10")
     return {
         i for i, idx in _L_INDEX.items()
-        if np.abs(dec.coeffs[list(idx)]).max() > tol
+        if np.abs(dec.coeffs[list(idx)]).max() > 1e-10
     }
 
 
@@ -203,12 +203,15 @@ _T217_SIGN = {"c1": -1, "c2": 1}
 
 
 def _theorem217_a4(variant: str, c2: float, branch: int) -> tuple[int, float]:
-    """The border sign s and the free entry a4."""
+    """The border sign s and the free entry a4; variant is case-blind."""
+    variant = variant.lower()
     if variant not in _T217_SIGN:
         raise ValueError("variant must be 'c1' or 'c2'")
+    if not np.isfinite(c2):
+        raise ValueError(f"c2={c2} is not finite")
     s = _T217_SIGN[variant]
     disc = (1 + 3 * s * c2) * (1 - s * c2)
-    if disc < -1e-12:
+    if not disc >= -1e-12:
         raise ValueError(f"c2={c2} outside the parameter interval (negative discriminant)")
     return s, -0.5 * c2 + branch * 0.5 * np.sqrt(max(disc, 0.0))
 
@@ -227,7 +230,7 @@ def theorem217_family(variant: str, c2: float, branch: int = 1) -> np.ndarray:
     variant "c2" negates it and takes c2 in [-1/3, 1]. branch selects the
     square-root sign for the free entry.
     """
-    s, a4 = _theorem217_a4(variant.lower(), c2, branch)
+    s, a4 = _theorem217_a4(variant, c2, branch)
     b = s / 2
     d, e = c2 - b, -a4 - c2
     return np.array([
@@ -254,12 +257,11 @@ def two_permutation_check() -> dict:
             "nontrivial_solutions": pairs - nonzero}
 
 
-def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int,
-                              newton_steps: int = 60, tol: float = 1e-12) -> np.ndarray:
+def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) -> np.ndarray:
     """Random orthogonal matrices inside span of the named permutations.
 
-    Batched Gauss-Newton on the orthogonality equations from random starts;
-    non-converged starts are dropped. Returns an array (k, 4, 4).
+    60 batched Gauss-Newton steps from random starts; starts left with
+    max |A^T A - I| above 1e-12 are dropped. Returns an array (k, 4, 4).
     """
     gens = np.stack([perm_matrix(n) for n in names])
     d = len(gens)
@@ -269,7 +271,7 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int,
     # J[b, l] = d(A^T A)[triu]/dc_l = c[b] . X[:, l][triu], and A^T A = J c / 2
     X = _cross_terms(gens)[:, :, iu[0], iu[1]].reshape(d, d * 10)
     eye = np.eye(4)[iu]
-    for _ in range(newton_steps):
+    for _ in range(60):
         J = (c @ X).reshape(-1, d, 10)
         f = 0.5 * (c[:, None, :] @ J)[:, 0] - eye
         # Levenberg-Marquardt damping keeps rank-deficient starts solvable
@@ -278,7 +280,7 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int,
         c = c - np.linalg.solve(JtJ, J @ f[..., None])[..., 0]
     A = np.tensordot(c, gens, axes=1)
     G = A.swapaxes(1, 2) @ A - np.eye(4)
-    return A[np.abs(G[:, iu[0], iu[1]]).max(axis=1) <= tol]
+    return A[np.abs(G[:, iu[0], iu[1]]).max(axis=1) <= 1e-12]
 
 
 def direct_sum_components(A, tol: float = 1e-12) -> list[tuple[list[int], list[int]]]:
@@ -309,10 +311,10 @@ def direct_sum_components(A, tol: float = 1e-12) -> list[tuple[list[int], list[i
     return comps
 
 
-def is_perm_equivalent_direct_sum(A, tol: float = 1e-9, pattern_tol: float | None = None) -> bool:
+def is_perm_equivalent_direct_sum(A, tol: float = 1e-9) -> bool:
     """A equals (up to row/column permutations) a direct sum of permutative
-    orthogonal blocks."""
-    comps = direct_sum_components(A, tol=tol if pattern_tol is None else pattern_tol)
+    orthogonal blocks; entries within tol of 0 are outside the pattern."""
+    comps = direct_sum_components(A, tol)
     if len(comps) < 2:
         return False
     for rows, cols in comps:
@@ -324,9 +326,9 @@ def is_perm_equivalent_direct_sum(A, tol: float = 1e-9, pattern_tol: float | Non
     return True
 
 
-def satisfies_span_dichotomy(A, tol: float = 1e-6) -> bool:
+def satisfies_span_dichotomy(A) -> bool:
     """Permutative, or a permutation-equivalent direct sum of permutative
-    orthogonal blocks. Samples produced by Gauss-Newton sit at square-root
-    precision near variety corners (e.g. signed permutations), hence the
-    default tolerance."""
-    return is_permutative(A, tol) or is_perm_equivalent_direct_sum(A, tol)
+    orthogonal blocks, within 1e-6. Samples produced by Gauss-Newton sit at
+    square-root precision near variety corners (e.g. signed permutations),
+    hence the loose tolerance."""
+    return is_permutative(A, 1e-6) or is_perm_equivalent_direct_sum(A, 1e-6)

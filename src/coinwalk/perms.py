@@ -97,10 +97,10 @@ def perm_matrix(pi: Permutation4 | tuple | list | str) -> np.ndarray:
     return pi.matrix()
 
 
-def matrix_to_perm(m: np.ndarray, tol: float = 1e-9) -> Permutation4:
-    """Invert perm_matrix; raises ValueError if m is not a permutation matrix."""
+def matrix_to_perm(m: np.ndarray) -> Permutation4:
+    """Invert perm_matrix; raises ValueError unless m is within 1e-9 of a permutation matrix."""
     m = np.asarray(m)
-    if m.shape != (4, 4) or np.abs(m - np.round(m.real)).max() > tol:
+    if m.shape != (4, 4) or np.abs(m - np.round(m.real)).max() > 1e-9:
         raise ValueError("not a 0/1 permutation matrix")
     b = np.round(m.real).astype(int)
     if not (b.sum(axis=0) == 1).all() or not (b.sum(axis=1) == 1).all():

@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import Coin, COIN_FAMILIES, coin_from_theta, is_unitary
-from .walk import CHIRALITIES, WalkState, _check_lattice, chirality_index
+from .coins import Coin, COIN_FAMILIES, coin_from_theta
+from .walk import CHIRALITIES, WalkState, _check_lattice, _walk_coin, chirality_index
 
 __all__ = [
     "SpectralBlock", "DegeneracyClass",
@@ -39,14 +39,8 @@ _DEGEN_TOL = 1e-9
 
 def _family_theta(coin) -> tuple[str, float] | None:
     if isinstance(coin, Coin) and coin.family in COIN_FAMILIES and coin.theta is not None:
-        if coin.degenerate:
-            raise ValueError("spectral closed forms exclude theta = +-pi")
         return coin.family, float(coin.theta)
     return None
-
-
-def _coin_matrix(coin) -> np.ndarray:
-    return coin.entries if isinstance(coin, Coin) else np.asarray(coin, dtype=complex)
 
 
 def closed_form_eigenvalues(family: str, theta: float, zn, zm) -> np.ndarray:
@@ -222,16 +216,13 @@ def _family_eigensystem_cached(family: str, theta: float, N: int):
 def coin_eigensystem(coin, N: int):
     """Eigensystem of all N^2 blocks: eigenvalues (N,N,4), unit eigenvectors
     (N,N,4,4) indexed [n,m,k,:], fallback mask (N,N), blocks (N,N,4,4).
-    N must be a lattice side the walk accepts: odd and >= 3."""
+    Takes the lattice sides (odd, >= 3) and coins (walk._walk_coin) the walk takes."""
     N = _check_lattice(N)
+    coin = _walk_coin(coin)
     fam = _family_theta(coin)
     if fam is not None:
         return _family_eigensystem_cached(fam[0], fam[1], N)
-    C = _coin_matrix(coin)
-    if not is_unitary(C, 1e-9):
-        raise ValueError("coin is not unitary (max |A^H A - I| > 1e-9); "
-                         "the block spectra would leave the unit circle")
-    U = _blocks_tensor(C, N)
+    U = _blocks_tensor(coin.entries, N)
     lams, vecs = _dense_eig(U.reshape(-1, 4, 4))
     return lams.reshape(N, N, 4), vecs.reshape(N, N, 4, 4), np.ones((N, N), dtype=bool), U
 
@@ -356,15 +347,14 @@ def c_table_p24y1(l_sp: int, l_s: int, k: int, theta: float, zn: float, zm: floa
     return num / den
 
 
-def _cluster_circle(lams: np.ndarray, tol: float = _DEGEN_TOL) -> np.ndarray:
-    """Group labels for unimodular eigenvalues equal within tol (circular).
-
-    Neighbours in angle order more than tol apart start a new label; a last
-    group that touches the first across angle +-pi takes the first label."""
+def _cluster_circle(lams: np.ndarray) -> np.ndarray:
+    """Group labels for unimodular eigenvalues equal within _DEGEN_TOL
+    (circular): neighbours in angle order farther apart start a new label;
+    a last group that touches the first across angle +-pi takes its label."""
     order = np.argsort(np.angle(lams), kind="stable")
     s = lams[order]
-    sorted_labels = np.concatenate(([0], np.cumsum(np.abs(np.diff(s)) > tol)))
-    if sorted_labels[-1] > 0 and abs(s[0] - s[-1]) <= tol:
+    sorted_labels = np.concatenate(([0], np.cumsum(np.abs(np.diff(s)) > _DEGEN_TOL)))
+    if sorted_labels[-1] > 0 and abs(s[0] - s[-1]) <= _DEGEN_TOL:
         sorted_labels[sorted_labels == sorted_labels[-1]] = 0
     labels = np.empty(len(lams), dtype=int)
     labels[order] = sorted_labels

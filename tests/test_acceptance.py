@@ -62,7 +62,7 @@ def _report(num, ok, text):
 def test_criterion_1_theorem36():
     """Same-chirality trapping probability equals 1/8 for each generalized
     Grover family on a 25-point theta grid, quadrature M = 512, tol 1e-6."""
-    rep = theorem36_check(QuadratureSpec(512), grid=25, families=GROVER_FAMILIES)
+    rep = theorem36_check(QuadratureSpec(512), grid=25)
     _report(1, rep["max_abs_deviation"] < 1e-6,
             f"theorem 3.6 diagonal = 1/8: max deviation {rep['max_abs_deviation']:.3e} "
             f"(tol 1e-6, M=512, 25-point grid, 3 families, 4 chiralities)")

@@ -1,7 +1,9 @@
-"""Public API guard: every exported name resolves, and the coins, matspace,
-spectral and localization modules keep their public names."""
+"""Public API guard: every exported name resolves, the coins, matspace,
+spectral and localization modules keep their public names, and the public
+callables keep their parameter names."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -64,14 +66,129 @@ def test_localization_public_names_frozen():
     ]
 
 
-def test_localization_parameters_frozen():
-    # no knob joins the theta loops without a caller that needs it
-    import inspect
-    from coinwalk.localization import sweep_theta, theorem36_check
-    assert list(inspect.signature(sweep_theta).parameters) == [
-        "family", "S_list", "num_points", "quad"]
-    assert list(inspect.signature(theorem36_check).parameters) == [
-        "quad", "grid", "families"]
+# Parameter names of every public function, constructor and method. No
+# option joins them without a caller that sets it to a second value.
+PARAMETERS = {
+    "perms": {
+        "Permutation4": ["mapping"],
+        "Permutation4.matrix": ["self"],
+        "Permutation4.inverse": ["self"],
+        "Permutation4.compose": ["self", "other"],
+        "Permutation4.cycles": ["self"],
+        "perm_matrix": ["pi"],
+        "matrix_to_perm": ["m"],
+        "from_cycles": ["s"],
+    },
+    "coins": {
+        "Coin": ["entries", "family", "theta", "r", "exact"],
+        "FamilyWitness": ["family", "left", "kind", "sign", "x", "z"],
+        "FamilyWitness.variety_residual": ["self"],
+        "FamilyWitness.is_rational": ["self"],
+        "FamilyWitness.reconstruct": ["self"],
+        "grover_coin": [],
+        "coin_from_theta": ["family", "theta"],
+        "coin_rational": ["tag", "r", "z_branch"],
+        "build_permutative": ["x_row", "P", "Q", "R"],
+        "is_orthogonal": ["A", "tol"],
+        "is_unitary": ["A", "tol"],
+        "is_permutative": ["A", "tol"],
+        "classify": ["A", "tol"],
+        "set_member_from_theta": ["tag", "theta"],
+        "in_pattern_set": ["A", "tag", "left", "tol"],
+        "chain_ids": [],
+        "chain_sets": ["chain_id"],
+        "group_closure_sample": ["chain_id", "count", "seed"],
+        "coin_to_json": ["coin"],
+        "coin_from_json": ["obj"],
+    },
+    "matspace": {
+        "basis_matrices": [],
+        "LinearSumDecomposition": ["coeffs", "residual"],
+        "LinearSumDecomposition.reconstruct": ["self"],
+        "LinearSumDecomposition.coefficient_sum": ["self"],
+        "LinearSumDecomposition.to_json": ["self", "row_sum_sign"],
+        "decompose_linear_sum": ["A"],
+        "subspace_membership": ["A"],
+        "h_orthogonal": ["P", "Q"],
+        "six_class_partition": [],
+        "quadrangular": ["M"],
+        "strongly_quadrangular": ["M"],
+        "hadamard_matrix": [],
+        "hadamard_row_sum_check": ["A", "tol"],
+        "theorem217_family": ["variant", "c2", "branch"],
+        "theorem217_block": ["variant", "c2", "branch"],
+        "two_permutation_check": [],
+        "sample_orthogonal_in_span": ["names", "trials", "seed"],
+        "direct_sum_components": ["A", "tol"],
+        "is_perm_equivalent_direct_sum": ["A", "tol"],
+        "satisfies_span_dichotomy": ["A"],
+    },
+    "walk": {
+        "chirality_index": ["S"],
+        "index_of": ["S", "x", "y", "N"],
+        "coords_of": ["w", "N"],
+        "WalkState": ["N", "amps"],
+        "WalkState.norm": ["self"],
+        "WalkState.amplitude": ["self", "S", "x", "y"],
+        "WalkState.to_vector": ["self"],
+        "WalkState.from_vector": ["cls", "vec", "N"],
+        "initial_state": ["N", "S"],
+        "step": ["state", "C"],
+        "evolve": ["state", "C", "t"],
+        "probability_at": ["state", "x", "y"],
+        "position_distribution": ["state"],
+        "time_averaged_probability": ["C", "N", "S", "x", "y", "T"],
+        "time_averaged_chirality_profile": ["C", "N", "S", "T", "x", "y"],
+    },
+    "spectral": {
+        "SpectralBlock": ["n", "m", "N", "matrix", "eigenvalues", "eigenvectors", "fallback"],
+        "SpectralBlock.residual": ["self"],
+        "DegeneracyClass": ["representative", "members"],
+        "build_block": ["coin", "n", "m", "N"],
+        "closed_form_eigs": ["family", "theta", "n", "m", "N"],
+        "coin_eigensystem": ["coin", "N"],
+        "omega_class": ["n", "m", "N", "symmetric"],
+        "c_coefficient": ["coin", "S_prime", "S", "n", "m", "k", "N"],
+        "c_table_p24y1": ["l_sp", "l_s", "k", "theta", "zn", "zm"],
+        "finite_N_pbar": ["coin", "S_prime", "S", "N"],
+        "finite_N_pbar_matrix": ["coin", "N"],
+        "eta_matrix": ["coin", "N"],
+        "reconstruct_state": ["coin", "N", "S", "t"],
+        "spectrum_rows": ["coin", "N"],
+        "coefficient_rows": ["coin", "N"],
+    },
+    "localization": {
+        "QuadratureSpec": ["M"],
+        "QuadratureSpec.nodes": ["self"],
+        "theta_grid": ["num_points"],
+        "pbar_matrix": ["family", "theta", "quad"],
+        "pbar_infinity_pair": ["family", "theta", "S", "S_prime", "quad"],
+        "pbar_infinity_total": ["family", "theta", "S", "quad"],
+        "sweep_theta": ["family", "S_list", "num_points", "quad"],
+        "theorem36_check": ["quad", "grid"],
+        "convergence_delta": ["family", "theta", "quad"],
+    },
+}
+
+
+def _public_parameters(modname: str) -> dict:
+    mod = importlib.import_module(f"coinwalk.{modname}")
+    out = {}
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) and not issubclass(obj, Exception):
+            out[name] = list(inspect.signature(obj).parameters)
+            for attr, fn in vars(obj).items():
+                fn = getattr(fn, "__func__", fn)   # unwrap classmethods
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    out[f"{name}.{attr}"] = list(inspect.signature(fn).parameters)
+        elif inspect.isfunction(obj):
+            out[name] = list(inspect.signature(obj).parameters)
+    return out
+
+
+def test_public_parameters_frozen():
+    assert {m: _public_parameters(m) for m in PARAMETERS} == PARAMETERS
 
 
 def test_localize_cli_options_frozen():

@@ -99,6 +99,22 @@ def test_space_c_family_rejects_out_of_range(capsys):
         "error: c2=0.9 outside the parameter interval (negative discriminant)\n")
 
 
+@pytest.mark.parametrize("c2", ["nan", "inf", "-inf"])
+def test_space_c_family_rejects_non_finite(capsys, c2):
+    code = main(["space", "c-family", "--variant", "c2", f"--c2={c2}"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: c2={float(c2)} is not finite\n")
+
+
+@pytest.mark.parametrize("at", ["1", "a,b", "1,2,3"])
+def test_walk_simulate_rejects_malformed_at(capsys, at):
+    code = main(["walk", "simulate", "--family", "p24y1", "--theta", "0.7",
+                 "--N", "5", "--T", "3", "--at", at])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --at expects two integers x,y, got {at!r}\n")
+
+
 def test_walk_simulate_csv_and_pbar(capsys):
     code, out = run(capsys, "walk", "simulate", "--family", "p24y1", "--theta", "0.7",
                     "--N", "5", "--T", "50", "--S", "R", "--at", "0,0",

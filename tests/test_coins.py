@@ -29,7 +29,7 @@ from coinwalk.coins import (
     is_unitary,
     set_member_from_theta,
 )
-from coinwalk.perms import P23, P24, P34, perm_matrix
+from coinwalk.perms import ONE_PLUS_P3, P23, P24, P34, perm_matrix
 
 # generalized-Grover factor of each pattern family
 LEFT = {"x": P34, "y": P24, "z": P23}
@@ -402,6 +402,14 @@ def test_witness_rational_flag():
     assert w2.is_real and not w2.is_rational()
 
 
+def test_witness_j_follows_kind_sign_table():
+    from coinwalk.coins import FamilyWitness, _J_KIND_SIGN
+    left = ONE_PLUS_P3[0]
+    for j, (kind, sign) in _J_KIND_SIGN.items():
+        w = FamilyWitness("y", left, kind, sign, 0j, 0j)
+        assert (w.j, w.set_tag) == (j, f"y{j}")
+
+
 def test_in_pattern_set_wrapper():
     from coinwalk.coins import in_pattern_set
     a = set_member_from_theta("y2", 1.3)
@@ -540,8 +548,3 @@ def test_group_closure_sample_rejects_count_below_one(count):
     with pytest.raises(ValueError, match="count must be >= 1"):
         group_closure_sample("x1-full", count, seed=1)
 
-
-@pytest.mark.parametrize("fraction", [-0.5, 1.5, 2.0, float("nan")])
-def test_group_closure_sample_rejects_complex_fraction_outside_unit_interval(fraction):
-    with pytest.raises(ValueError, match=r"complex_fraction must lie in \[0, 1\]"):
-        group_closure_sample("x1-full", 10, seed=1, complex_fraction=fraction)

@@ -208,6 +208,24 @@ def test_theorem217_out_of_range():
         theorem217_family("c2", -0.7)
 
 
+@pytest.mark.parametrize("c2", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fn", [theorem217_family, theorem217_block])
+def test_theorem217_rejects_non_finite_c2(fn, c2):
+    # a NaN discriminant is never below the interval's bound, so it needs
+    # its own rejection
+    for variant in ("c1", "c2"):
+        with pytest.raises(ValueError, match=f"c2={c2} is not finite"):
+            fn(variant, c2)
+
+
+def test_theorem217_variant_case_blind():
+    for fn in (theorem217_family, theorem217_block):
+        assert fn("C1", 0.2).tobytes() == fn("c1", 0.2).tobytes()
+        assert fn("C2", -0.2, -1).tobytes() == fn("c2", -0.2, -1).tobytes()
+    with pytest.raises(ValueError, match="variant must be 'c1' or 'c2'"):
+        theorem217_block("c3", 0.2)
+
+
 def test_two_permutation_exhaustive():
     report = two_permutation_check()
     assert report["pairs"] == 552

@@ -17,6 +17,7 @@ from coinwalk.spectral import (
     c_table_p24y1,
     closed_form_eigenvalues,
     closed_form_eigs,
+    coefficient_rows,
     coin_eigensystem,
     eta_matrix,
     finite_N_pbar,
@@ -418,6 +419,22 @@ def test_complex_orthogonal_raw_coin_rejected():
     a = set_member_from_theta("x3", 0.7 + 0.5j)
     with pytest.raises(ValueError, match="unitary"):
         finite_N_pbar_matrix(a, 5)
+
+
+def test_spectral_takes_the_coins_the_walk_takes():
+    # coin_eigensystem asks walk._walk_coin, so every spectral consumer
+    # rejects what the walk rejects, with the walk's message
+    deg = coin_from_theta("p24y1", math.pi)
+    calls = (lambda: coin_eigensystem(deg, 5), lambda: finite_N_pbar_matrix(deg, 5),
+             lambda: reconstruct_state(deg, 5, "R", 2), lambda: list(spectrum_rows(deg, 5)),
+             lambda: list(coefficient_rows(deg, 5)),
+             lambda: c_coefficient(deg, "R", "R", 0, 0, 1, 5))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"walk evolution excludes the degenerate theta = \+-pi"):
+            call()
+    for raw in (np.eye(3), np.arange(16.0), np.eye(4)[None]):
+        with pytest.raises(ValueError, match="coin must be 4x4"):
+            coin_eigensystem(raw, 5)
 
 
 @pytest.mark.parametrize("N", [4, 0, 1, -3])
