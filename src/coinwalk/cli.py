@@ -72,6 +72,8 @@ def cmd_coin(args) -> int:
         _emit(args, coins.coin_to_json(coin),
               ["row", "c1", "c2", "c3", "c4"], _matrix_rows(coin.entries.real))
         return EXIT_OK
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     A = _read_matrix(args)
     if args.action == "classify":
         w = coins.classify(A, tol=args.tol)
@@ -156,8 +158,7 @@ def cmd_walk(args) -> int:
         else:
             rows = list(spectral.spectrum_rows(coin, args.N))
             header = ["n", "m", "k", "re_lambda", "im_lambda"]
-        obj = {"family": args.family, "theta": args.theta, "N": args.N,
-               "rows": [list(r) for r in rows]}
+        obj = {"family": args.family, "theta": args.theta, "N": args.N, "rows": rows}
         _emit(args, obj, header, rows)
         return EXIT_OK
     # simulate: reject what the walk does not cover before any output
@@ -184,7 +185,7 @@ def cmd_walk(args) -> int:
     obj = {
         "family": args.family, "theta": args.theta, "N": args.N, "T": args.T,
         "S": args.S, "at": [x, y],
-        "rows": [[t, xx, yy, p] for t, xx, yy, p in rows],
+        "rows": rows,
         "time_averaged": pbar,
     }
     if args.dump_state:

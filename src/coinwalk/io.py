@@ -159,16 +159,21 @@ def dump_json(stream: IO[str], obj) -> None:
 
 def read_matrix_text(text: str) -> np.ndarray:
     """Parse a 4x4 matrix from 16 whitespace-separated reals (row-major) or
-    from a coin/matrix JSON object."""
+    from a coin/matrix JSON object. NaN and infinite entries are rejected."""
     text = text.strip()
     if text.startswith("{"):
-        obj = json.loads(text)
         from .coins import coin_from_json
-        return coin_from_json(obj).entries
-    vals = [float(v) for v in text.split()]
-    if len(vals) != 16:
-        raise ValueError(f"expected 16 whitespace-separated reals, got {len(vals)}")
-    return np.array(vals).reshape(4, 4)
+        A = coin_from_json(json.loads(text)).entries
+    else:
+        vals = [float(v) for v in text.split()]
+        if len(vals) != 16:
+            raise ValueError(f"expected 16 whitespace-separated reals, got {len(vals)}")
+        A = np.array(vals).reshape(4, 4)
+    bad = np.argwhere(~np.isfinite(A))
+    if len(bad):
+        i, j = bad[0] + 1
+        raise ValueError(f"matrix entry in row {i}, column {j} is not finite")
+    return A
 
 
 def open_out(path: str | None):

@@ -299,16 +299,27 @@ def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) ->
     with unit eigenvectors, so the norm factors are already absorbed."""
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be in 1..4")
-    fam = _family_theta(coin)
-    symmetric = fam is None or fam[0] != "x3"
-    cls = omega_class(n, m, N, symmetric=symmetric)
+    cls = omega_class(n, m, N, symmetric=_symmetric(coin))
     vecs = coin_eigensystem(coin, N)[1]
-    return _class_sum(vecs, cls, k, chirality_index(S_prime) - 1, chirality_index(S) - 1)
+    ns, ms = zip(*cls.members)
+    sums = _group_sums(vecs[ns, ms, k - 1], np.zeros(len(ns), dtype=int), 1)
+    return complex(sums[0, chirality_index(S_prime) - 1, chirality_index(S) - 1])
 
 
-def _class_sum(vecs: np.ndarray, cls: DegeneracyClass, k: int, a: int, b: int) -> complex:
-    return complex(sum(vecs[nn, mm, k - 1, a] * np.conj(vecs[nn, mm, k - 1, b])
-                       for nn, mm in cls.members))
+def _symmetric(coin) -> bool:
+    """Whether the degeneracy classes of coin fold n <-> m: all but x3."""
+    fam = _family_theta(coin)
+    return fam is None or fam[0] != "x3"
+
+
+def _group_sums(vecs: np.ndarray, labels: np.ndarray, G: int) -> np.ndarray:
+    """Sums of v_a conj(v_c), (G, ..., 4, 4), over the vectors vecs[b]
+    (shape (B, ..., 4)) of each group labels[b] in 0..G-1. The products and
+    the adds, in b order, round as the scalar member-by-member sum does."""
+    w = np.einsum("b...a,b...c->b...ac", vecs, np.conj(vecs))
+    sums = np.zeros((G,) + w.shape[1:], dtype=complex)
+    np.add.at(sums, labels, w)
+    return sums
 
 
 def c_table_p24y1(l_sp: int, l_s: int, k: int, theta: float, zn: float, zm: float):
@@ -377,25 +388,24 @@ def finite_N_pbar(coin, S_prime: str, S: str, N: int) -> float:
 def finite_N_pbar_matrix(coin, N: int) -> np.ndarray:
     """All 16 origin time averages at once: entry [l(S')-1, l(S)-1]."""
     lams, vecs, _, _ = coin_eigensystem(coin, N)
-    flat_l = lams.reshape(-1)
-    flat_v = vecs.reshape(-1, 4)
-    labels = _cluster_circle(flat_l)
-    ngroups = labels.max() + 1
-    w = np.einsum("ba,bc->bac", flat_v, np.conj(flat_v))   # (B, 4, 4) outer
-    sums = np.zeros((ngroups, 4, 4), dtype=complex)
-    np.add.at(sums, labels, w)
-    out = (np.abs(sums) ** 2).sum(axis=0) / N**4
-    return out
+    labels = _cluster_circle(lams.reshape(-1))
+    sums = _group_sums(vecs.reshape(-1, 4), labels, labels.max() + 1)
+    return (np.abs(sums) ** 2).sum(axis=0) / N**4
+
+
+def _plane_waves(N: int) -> np.ndarray:
+    """ph[n, ix] = w^(n x) with w = exp(2 pi i / N), x = ix - (N-1)/2."""
+    half = (N - 1) // 2
+    xs = np.arange(-half, half + 1)
+    w = np.exp(2j * np.pi / N)
+    return w ** np.outer(np.arange(N), xs)
 
 
 def eta_matrix(coin, N: int) -> np.ndarray:
     """All 4N^2 evolution-operator eigenvectors as columns, in canonical
     index order, columns ordered by (n, m, k)."""
     lams, vecs, _, _ = coin_eigensystem(coin, N)
-    half = (N - 1) // 2
-    xs = np.arange(-half, half + 1)
-    w = np.exp(2j * np.pi / N)
-    ph = w ** np.outer(np.arange(N), xs)                   # ph[n, ix]
+    ph = _plane_waves(N)
     # eta[s, ix, iy] = v_s * w^{n x + m y} / N
     eta = np.einsum("nmks,nx,my->nmksxy", vecs, ph, ph) / N
     cols = eta.reshape(N * N * 4, 4, N, N)
@@ -411,10 +421,7 @@ def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
     b = chirality_index(S) - 1
     # sum over k of lam^t v conj(v_b); phases reattach the plane waves
     M = np.einsum("nmk,nmks,nmk->nms", lams**t, vecs, np.conj(vecs[:, :, :, b]))
-    half = (N - 1) // 2
-    xs = np.arange(-half, half + 1)
-    w = np.exp(2j * np.pi / N)
-    ph = w ** np.outer(np.arange(N), xs)
+    ph = _plane_waves(N)
     amps = np.einsum("nms,nx,my->sxy", M, ph, ph, optimize=True) / N**2
     return WalkState(N, amps)
 
@@ -432,17 +439,18 @@ def spectrum_rows(coin, N: int):
 def coefficient_rows(coin, N: int):
     """Iterate (S, S', n, m, k, Re c, Im c) over degeneracy-class
     representatives for the origin-localized initial states."""
-    fam = _family_theta(coin)
-    symmetric = fam is None or fam[0] != "x3"
+    symmetric = _symmetric(coin)
     half = (N - 1) // 2
     classes = [omega_class(n, m, N, symmetric=symmetric)
                for n in range(half + 1) for m in range(half + 1)
                if symmetric is False or n <= m]
     vecs = coin_eigensystem(coin, N)[1]
+    ns, ms = zip(*(nm for cls in classes for nm in cls.members))
+    labels = np.repeat(np.arange(len(classes)), [len(cls.members) for cls in classes])
+    sums = _group_sums(vecs[ns, ms], labels, len(classes))     # [class, k, a, b]
     for b, S in enumerate(CHIRALITIES):
         for a, Sp in enumerate(CHIRALITIES):
-            for cls in classes:
+            for cls, c_k in zip(classes, sums[:, :, a, b].tolist()):
                 n, m = cls.representative
-                for k in (1, 2, 3, 4):
-                    c = _class_sum(vecs, cls, k, a, b)
-                    yield S, Sp, n, m, k, float(c.real), float(c.imag)
+                for k, c in enumerate(c_k, 1):
+                    yield S, Sp, n, m, k, c.real, c.imag

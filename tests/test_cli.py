@@ -367,3 +367,33 @@ def test_walk_simulate_time_average_matches_spectral(capsys):
     from coinwalk.spectral import finite_N_pbar_matrix
     exact = finite_N_pbar_matrix(coin_from_theta("p24y1", 0.7), 5)[:, 0].sum()
     assert abs(obj["time_averaged"] - exact) < 5.0 / 2000
+
+
+NAN_MATRIX = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 nan"
+INF_COIN_JSON = json.dumps({"entries_re": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                           [0, 0, 0, float("inf")]]})
+
+
+@pytest.mark.parametrize("text", [NAN_MATRIX, INF_COIN_JSON], ids=["text", "json"])
+@pytest.mark.parametrize("cmd", [("space", "decompose"), ("space", "sq-check"),
+                                 ("coin", "classify"), ("coin", "verify")])
+def test_matrix_commands_reject_non_finite_entries(capsys, tmp_path, cmd, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code = main([*cmd, "--in", str(path)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: matrix entry in row 4, column 4 is not finite\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("action", ["verify", "classify"])
+def test_coin_tol_must_be_finite_and_non_negative(capsys, tmp_path, action, tol):
+    # y2(3/5) is exactly orthogonal: a bad tolerance must not read as a verdict
+    assert main(["coin", "gen", "--family", "y2", "--r", "3/5",
+                 "--out", str(tmp_path / "y2.json")]) == 0
+    code = main(["coin", action, "--in", str(tmp_path / "y2.json"), f"--tol={tol}"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --tol must be finite and >= 0, got {float(tol)}\n")
+    assert run(capsys, "coin", action, "--in", str(tmp_path / "y2.json"))[0] == 0

@@ -1,6 +1,6 @@
 """The template writers against the routes they replace: dump_json against
 json.dump(obj, indent=2) plus a newline, write_csv against one _cell call
-per value."""
+per value; and read_matrix_text's rejection of non-finite entries."""
 
 import io as _io
 import json
@@ -180,3 +180,16 @@ def test_write_csv_takes_generator_rows():
     io.write_csv(got, ["a", "b", "c"], rows())
     parent_write_csv(want, ["a", "b", "c"], [(i, 0.5 * i, "x") for i in range(5)])
     assert_same(got.getvalue(), want.getvalue())
+
+
+@pytest.mark.parametrize("text,where", [
+    ("1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 -inf", "row 4, column 4"),
+    (json.dumps({"entries_re": np.eye(4).tolist(),
+                 "entries_im": [[0, 0, 0, 0], [0, 0, math.nan, 0], [0] * 4, [0] * 4]}),
+     "row 2, column 3"),
+])
+def test_read_matrix_text_rejects_non_finite(text, where):
+    # the CLI tests cover NaN and +inf in real entries; these add -inf and
+    # a non-finite imaginary part
+    with pytest.raises(ValueError, match=f"^matrix entry in {where} is not finite$"):
+        io.read_matrix_text(text)

@@ -591,6 +591,24 @@ def test_raw_coin_reconstruction_matches_evolution(seed, N, t, S):
     assert np.abs(direct.amps - rec.amps).max() < 1e-10
 
 
+@pytest.mark.parametrize("coin", ["p24y1", "x3", "grover_raw"])
+def test_class_sums_equal_member_loop(coin):
+    # the member-by-member scalar sum, independent of the grouped kernel
+    C = {"p24y1": coin_from_theta("p24y1", 0.9), "x3": coin_from_theta("x3", 0.4),
+         "grover_raw": grover_coin().entries}[coin]
+    N = 9
+    v = coin_eigensystem(C, N)[1]
+    rows = list(coefficient_rows(C, N))
+    for S, Sp, n, m, k, re, im in rows:
+        cls = omega_class(n, m, N, symmetric=coin != "x3")
+        a, b = CHIRALITIES.index(Sp), CHIRALITIES.index(S)
+        want = complex(sum(v[nn, mm, k - 1, a] * np.conj(v[nn, mm, k - 1, b])
+                           for nn, mm in cls.members))
+        assert (re, im) == (want.real, want.imag)
+        assert c_coefficient(C, Sp, S, n, m, k, N) == want
+    assert len(rows) == 16 * 4 * (25 if coin == "x3" else 15)
+
+
 @pytest.mark.parametrize("coin", ["grover_raw", "x3"])
 def test_coefficient_rows_one_eigensystem(monkeypatch, coin):
     import coinwalk.spectral as spectral_mod
