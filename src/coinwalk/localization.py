@@ -11,14 +11,21 @@ At lambda = +-1 every family's eigenvector components factor into pure-x and
 pure-y terms, px * qy; the factors are the closed-form eigenvectors of
 spectral._FACTORS, the ones the finite-N eigensystem uses. Each integral
 then reduces to bilinear forms u_x^T K u_y with a single real M x M kernel
-shared by all momentum-sign variants. One pbar_matrix call (both branches,
-all 16 pairs) takes about 2 ms at M = 512 and 20 ms at M = 2048 on one core
-of a 2-core Xeon with OpenBLAS. sweep_theta and theorem36_check call it
-once per theta point, in grid order, on the calling thread.
+shared by all momentum-sign variants. The two branches share it too: under
+(lam, e) -> (-lam, -conj e), that is lam -> -lam and x -> pi - x, every
+factor maps to plus or minus its own conjugate, so the lambda = +1 weights
+|px|^2, |qy|^2 at pi - x are the lambda = -1 weights at x. The midpoint
+nodes are mirror-symmetric, x_{M-1-i} = pi - x_i, so the lambda = +1 kernel
+is the lambda = -1 kernel with both axes reversed, and one kernel build
+serves both branches. One pbar_matrix call (both branches, all 16 pairs)
+takes about 1.8 ms at M = 512 and 17 ms at M = 2048 on one core of a 2-core
+Xeon with OpenBLAS. sweep_theta and theorem36_check call it once per theta
+point, in grid order, on the calling thread.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,20 @@ __all__ = [
 ]
 
 
+def _check_count(value, least: int, what: str) -> int:
+    """value as an int of at least `least`. Integer types, numpy's too, pass;
+    bool, float (even 512.0 or NaN) and the rest raise ValueError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n < least:
+        raise ValueError(f"need at least {least} {what}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Midpoint rule on [0, pi]^2 with M nodes per axis."""
@@ -41,8 +62,7 @@ class QuadratureSpec:
     M: int = 512
 
     def __post_init__(self):
-        if self.M < 16:
-            raise ValueError("quadrature needs at least 16 nodes per axis")
+        object.__setattr__(self, "M", _check_count(self.M, 16, "quadrature nodes per axis"))
 
     def nodes(self) -> np.ndarray:
         return (np.arange(self.M) + 0.5) * np.pi / self.M
@@ -60,34 +80,45 @@ _BLOCK = 1 << 16              # kernel entries per row block, 512 KB: stays in L
 _GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")   # Theorem 3.6: diagonal 1/8
 
 
-def _integrals(family: str, theta: float, M: int, k: int) -> np.ndarray:
-    """I_k[a, b] = class-sum integral of v_a conj(v_b), all 16 pairs.
+def _integrals(family: str, theta: float, M: int) -> np.ndarray:
+    """I[k - 1, a, b] = class-sum integral of v_a conj(v_b) on branch k
+    (k = 1: lambda = -1, k = 2: lambda = +1), all 16 pairs of both branches.
 
     The class sum runs over the momentum-sign variants ex, ey in {e, conj e}.
     px depends on x alone, qy on y alone, and both have real coefficients, so
     px(conj e) = conj px(e) and qy(conj e) = conj qy(e). All four variants
     then share the real kernel K = 1 / (|px|^2^T |qy|^2), and their bilinear
-    forms ux^T K uy sum to 4 Re(ux)^T K Re(uy): one real GEMM against the
-    10 independent pairs. K is built a block of rows at a time, so the GEMM
-    reads each block from cache."""
+    forms ux^T K uy sum to 4 Re(ux)^T K Re(uy). The reflection x -> pi - x
+    maps the nodes onto themselves in reverse order and the lambda = +1
+    weights onto the lambda = -1 weights, so branch 2 is the same bilinear
+    form with the lambda = -1 kernel and its own ux, uy read in reverse node
+    order. One real GEMM against the 2 x 10 independent pairs then serves
+    both branches. K is built a block of rows at a time into one reused
+    buffer, so the GEMM reads each block from cache."""
     xs = QuadratureSpec(M).nodes()
-    lam = -1.0 if k == 1 else 1.0
     e = np.exp(1j * xs)
-    px, qy = _FACTORS[family](theta, lam, e, e)
-    wx, wy = np.abs(px.T) ** 2, np.abs(qy) ** 2
     a, b = _PAIRS
-    ux = (px[a] * np.conj(px[b])).real
-    uy = np.ascontiguousarray((qy[a] * np.conj(qy[b])).real.T)
-    Kuy = np.empty((M, len(a)))
-    rows = max(1, _BLOCK // M)
+
+    def pairs(v):
+        return (v[a] * np.conj(v[b])).real                       # (10, M)
+
+    px, qy = _FACTORS[family](theta, -1.0, e, e)
+    wx, wy = np.ascontiguousarray(np.abs(px.T) ** 2), np.abs(qy) ** 2
+    px2, qy2 = (f[:, ::-1] for f in _FACTORS[family](theta, 1.0, e, e))
+    ux = np.stack([pairs(px), pairs(px2)])                       # (2, 10, M)
+    uy = np.ascontiguousarray(np.concatenate([pairs(qy), pairs(qy2)]).T)   # (M, 20)
+    Kuy = np.empty((M, 2 * len(a)))
+    rows = min(M, max(1, _BLOCK // M))
+    K = np.empty((rows, M))
     for r in range(0, M, rows):
-        K = wx[r:r + rows] @ wy
-        np.reciprocal(K, out=K)
-        np.matmul(K, uy, out=Kuy[r:r + rows])
-    vals = np.einsum("pm,mp->p", ux, Kuy) / (M * M)
-    out = np.empty((4, 4))
-    out[a, b] = vals
-    out[b, a] = vals
+        Kr = K[:min(rows, M - r)]
+        np.matmul(wx[r:r + rows], wy, out=Kr)
+        np.reciprocal(Kr, out=Kr)
+        np.matmul(Kr, uy, out=Kuy[r:r + rows])
+    vals = np.einsum("kpm,mkp->kp", ux, Kuy.reshape(M, 2, len(a))) / (M * M)
+    out = np.empty((2, 4, 4))
+    out[:, a, b] = vals
+    out[:, b, a] = vals
     return out
 
 
@@ -98,8 +129,7 @@ def pbar_matrix(family: str, theta: float, quad: QuadratureSpec = QuadratureSpec
     if family not in COIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     theta = _check_theta(theta)
-    I1 = _integrals(family, theta, quad.M, 1)
-    I2 = _integrals(family, theta, quad.M, 2)
+    I1, I2 = _integrals(family, theta, quad.M)
     return I1**2 + I2**2
 
 
@@ -138,8 +168,7 @@ def convergence_delta(family: str, theta: float, quad: QuadratureSpec) -> float:
 
 def theta_grid(num_points: int = 400) -> np.ndarray:
     """Equidistant interior points of the open interval (-pi, pi)."""
-    if num_points < 2:
-        raise ValueError("need at least 2 sweep points")
+    num_points = _check_count(num_points, 2, "sweep points")
     return np.linspace(-np.pi, np.pi, num_points + 2)[1:-1]
 
 

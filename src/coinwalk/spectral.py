@@ -299,17 +299,23 @@ def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) ->
     with unit eigenvectors, so the norm factors are already absorbed."""
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be in 1..4")
-    cls = omega_class(n, m, N, symmetric=_symmetric(coin))
-    vecs = coin_eigensystem(coin, N)[1]
+    lams, vecs, _, _ = coin_eigensystem(coin, N)
+    cls = omega_class(n, m, N, symmetric=_symmetric(coin, lams))
     ns, ms = zip(*cls.members)
     sums = _group_sums(vecs[ns, ms, k - 1], np.zeros(len(ns), dtype=int), 1)
     return complex(sums[0, chirality_index(S_prime) - 1, chirality_index(S) - 1])
 
 
-def _symmetric(coin) -> bool:
-    """Whether the degeneracy classes of coin fold n <-> m: all but x3."""
+def _symmetric(coin, lams: np.ndarray) -> bool:
+    """Whether the degeneracy classes of coin fold n <-> m. A family coin
+    folds unless it is x3. A raw coin folds when its block spectra lams
+    (N, N, 4) are symmetric: every block (n, m) has the eigenvalues of
+    (m, n), in any order, within _DEGEN_TOL."""
     fam = _family_theta(coin)
-    return fam is None or fam[0] != "x3"
+    if fam is not None:
+        return fam[0] != "x3"
+    d = np.abs(lams[..., :, None] - lams.transpose(1, 0, 2)[..., None, :])
+    return bool((d.min(axis=-1) <= _DEGEN_TOL).all() and (d.min(axis=-2) <= _DEGEN_TOL).all())
 
 
 def _group_sums(vecs: np.ndarray, labels: np.ndarray, G: int) -> np.ndarray:
@@ -439,12 +445,12 @@ def spectrum_rows(coin, N: int):
 def coefficient_rows(coin, N: int):
     """Iterate (S, S', n, m, k, Re c, Im c) over degeneracy-class
     representatives for the origin-localized initial states."""
-    symmetric = _symmetric(coin)
+    lams, vecs, _, _ = coin_eigensystem(coin, N)
+    symmetric = _symmetric(coin, lams)
     half = (N - 1) // 2
     classes = [omega_class(n, m, N, symmetric=symmetric)
                for n in range(half + 1) for m in range(half + 1)
                if symmetric is False or n <= m]
-    vecs = coin_eigensystem(coin, N)[1]
     ns, ms = zip(*(nm for cls in classes for nm in cls.members))
     labels = np.repeat(np.arange(len(classes)), [len(cls.members) for cls in classes])
     sums = _group_sums(vecs[ns, ms], labels, len(classes))     # [class, k, a, b]

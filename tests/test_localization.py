@@ -19,6 +19,7 @@ from coinwalk.spectral import _FACTORS, c_table_p24y1, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
 
 QUICK = QuadratureSpec(64)
+EPS = np.finfo(float).eps
 GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")
 
 
@@ -26,6 +27,25 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(8)
     assert len(QuadratureSpec(32).nodes()) == 32
+
+
+@pytest.mark.parametrize("M", [512.0, 100.5, float("nan"), True, "64", None, np.float64(64)])
+def test_quadrature_spec_rejects_non_integer(M):
+    with pytest.raises(ValueError, match="must be an integer"):
+        QuadratureSpec(M)
+
+
+def test_counts_accept_numpy_integers():
+    q = QuadratureSpec(np.int64(32))
+    assert q.M == 32 and type(q.M) is int
+    assert len(q.nodes()) == 32
+    assert len(theta_grid(np.int32(5))) == 5
+
+
+@pytest.mark.parametrize("n", [3.0, True, "4", 1])
+def test_theta_grid_rejects_bad_count(n):
+    with pytest.raises(ValueError):
+        theta_grid(n)
 
 
 def test_theta_grid_open_interval():
@@ -59,7 +79,7 @@ def test_grover_point_pair_value():
 
 
 def test_k1_integral_vanishes_at_theta_zero_for_rl_pair():
-    I1 = _integrals("p24y1", 0.0, 64, 1)
+    I1 = _integrals("p24y1", 0.0, 64)[0]
     assert abs(I1[0, 1]) < 1e-14
 
 
@@ -104,12 +124,13 @@ def test_p24y1_kernel_matches_c_table_sums():
         for k in (1, 2):
             want = np.array([[c_table_p24y1(a, b, k, theta, X, Y).sum() / (8 * M * M)
                               for b in (1, 2, 3, 4)] for a in (1, 2, 3, 4)])
-            assert np.abs(_integrals("p24y1", theta, M, k) - want).max() < 1e-10
+            assert np.abs(_integrals("p24y1", theta, M)[k - 1] - want).max() < 1e-10
 
 
 def _integrals_matvec(family, theta, M, k):
     """Direct form of the quadrature: each of the four momentum-sign
-    variants and each of the 16 pairs as its own bilinear form u_x^T K u_y."""
+    variants and each of the 16 pairs as its own bilinear form u_x^T K u_y,
+    with the kernel K built from branch k's own factors."""
     xs = QuadratureSpec(M).nodes()
     lam = -1.0 if k == 1 else 1.0
     e_pos = np.exp(1j * xs)
@@ -127,26 +148,50 @@ def _integrals_matvec(family, theta, M, k):
 
 
 @pytest.mark.parametrize("family", COIN_FAMILIES)
-@pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, -3.1, 0.0])
+@pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, -3.1, 0.0, 1.5707, -1.5707])
 def test_kernel_matches_matvec_quadrature(family, theta):
+    got = _integrals(family, theta, 64)
     for k in (1, 2):
         want = _integrals_matvec(family, theta, 64, k)
         assert np.abs(want.imag).max() < 1e-14
-        assert np.abs(_integrals(family, theta, 64, k) - want.real).max() < 1e-14
+        assert np.abs(got[k - 1] - want.real).max() < 1e-14
 
 
-def test_kernel_row_blocks_match_matvec_quadrature():
-    # M = 600 splits the kernel into row blocks with a shorter last block
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("theta", [2.2, 1.5707, -1.5707])
+@pytest.mark.parametrize("M", [65, 600])
+def test_kernel_sizes_match_matvec_quadrature(family, theta, M):
+    # odd M: the middle node x = pi/2 is its own mirror image; M = 600
+    # splits the kernel into row blocks with a shorter last block
+    got = _integrals(family, theta, M)
     for k in (1, 2):
-        want = _integrals_matvec("x3", 2.2, 600, k).real
-        assert np.abs(_integrals("x3", 2.2, 600, k) - want).max() < 1e-14
+        want = _integrals_matvec(family, theta, M, k).real
+        assert np.abs(got[k - 1] - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, 1.5707, -1.5707])
+def test_branch_reflection(family, theta):
+    # the identity the shared kernel rests on: the lambda = +1 weights at
+    # node M-1-i (pi - x_i) are the lambda = -1 weights at x_i. The nodes are
+    # mirror-symmetric to rounding, and next to the edges e^{ix} -+ 1 cancels,
+    # which turns that rounding into a relative error that grows like M eps
+    # (at most 1.5 M eps for M from 16 to 2049)
+    for M in (64, 65):
+        xs = QuadratureSpec(M).nodes()
+        assert np.abs(xs[::-1] - (np.pi - xs)).max() < 1e-15
+        e = np.exp(1j * xs)
+        px_m, qy_m = _FACTORS[family](theta, -1.0, e, e)
+        px_p, qy_p = _FACTORS[family](theta, 1.0, e[::-1], e[::-1])
+        for plus, minus in ((px_p, px_m), (qy_p, qy_m)):
+            want = np.abs(minus) ** 2
+            assert (np.abs(np.abs(plus) ** 2 - want) <= 4 * M * EPS * want).all()
 
 
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_integrals_symmetric(family):
     for theta in (-2.4, 0.3, 1.7):
-        for k in (1, 2):
-            I = _integrals(family, theta, 64, k)
+        for I in _integrals(family, theta, 64):
             assert np.array_equal(I, I.T)
 
 

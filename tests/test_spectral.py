@@ -591,28 +591,44 @@ def test_raw_coin_reconstruction_matches_evolution(seed, N, t, S):
     assert np.abs(direct.amps - rec.amps).max() < 1e-10
 
 
-@pytest.mark.parametrize("coin", ["p24y1", "x3", "grover_raw"])
+@pytest.mark.parametrize("coin", ["p24y1", "x3", "grover_raw", "x3_raw"])
 def test_class_sums_equal_member_loop(coin):
     # the member-by-member scalar sum, independent of the grouped kernel
     C = {"p24y1": coin_from_theta("p24y1", 0.9), "x3": coin_from_theta("x3", 0.4),
-         "grover_raw": grover_coin().entries}[coin]
+         "grover_raw": grover_coin().entries,
+         "x3_raw": coin_from_theta("x3", 0.4).entries}[coin]
     N = 9
     v = coin_eigensystem(C, N)[1]
     rows = list(coefficient_rows(C, N))
+    x3 = coin.startswith("x3")
     for S, Sp, n, m, k, re, im in rows:
-        cls = omega_class(n, m, N, symmetric=coin != "x3")
+        cls = omega_class(n, m, N, symmetric=not x3)
         a, b = CHIRALITIES.index(Sp), CHIRALITIES.index(S)
         want = complex(sum(v[nn, mm, k - 1, a] * np.conj(v[nn, mm, k - 1, b])
                            for nn, mm in cls.members))
         assert (re, im) == (want.real, want.imag)
         assert c_coefficient(C, Sp, S, n, m, k, N) == want
-    assert len(rows) == 16 * 4 * (25 if coin == "x3" else 15)
+    assert len(rows) == 16 * 4 * (25 if x3 else 15)
 
 
-@pytest.mark.parametrize("coin", ["grover_raw", "x3"])
+@pytest.mark.parametrize("family, theta", [("x3", 0.4), ("p24y1", -math.pi / 2)])
+def test_raw_coin_folds_like_its_family(family, theta):
+    # a raw coin folds n <-> m only when its block spectra are symmetric:
+    # the raw x3 array keeps the axes apart, the raw Grover array folds
+    coin = coin_from_theta(family, theta)
+    N = 9
+
+    def reps(C):
+        return [row[:5] for row in coefficient_rows(C, N)]
+
+    assert reps(coin.entries) == reps(coin)
+
+
+@pytest.mark.parametrize("coin", ["grover_raw", "x3", "x3_raw"])
 def test_coefficient_rows_one_eigensystem(monkeypatch, coin):
     import coinwalk.spectral as spectral_mod
-    C = {"grover_raw": grover_coin().entries, "x3": coin_from_theta("x3", 0.4)}[coin]
+    C = {"grover_raw": grover_coin().entries, "x3": coin_from_theta("x3", 0.4),
+         "x3_raw": coin_from_theta("x3", 0.4).entries}[coin]
     N = 9
     want = []
     for S, Sp, n, m, k, _, _ in spectral_mod.coefficient_rows(C, N):
