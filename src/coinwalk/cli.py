@@ -212,7 +212,7 @@ def cmd_localize(args) -> int:
     flagged = False
     if args.check_convergence:
         delta, pm = localization._convergence(args.family, args.theta, quad)
-        flagged = delta > 1e-4
+        flagged = not delta <= 1e-4    # a NaN delta is not converged
     else:
         pm = localization.pbar_matrix(args.family, args.theta, quad)
     obj = {"family": args.family, "theta": args.theta, "S": args.S}

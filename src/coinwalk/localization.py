@@ -1,4 +1,4 @@
-"""Infinite-lattice localization probabilities by Riemann quadrature.
+"""Infinite-lattice localization probabilities by midpoint quadrature.
 
 Only the two unimodular-constant eigenvalue branches (lambda = -1 and +1)
 survive the double limit T -> infinity, N -> infinity; the localization
@@ -7,20 +7,35 @@ I_k is the [0, pi]^2 integral of the degeneracy-class sum of eigenvector
 component products, normalized by 1/(4 pi^2) for the four-member momentum
 orbit (equivalently 1/(8 pi^2) for the n <-> m symmetrized eight-member sum).
 
-At lambda = +-1 every family's eigenvector components factor into pure-x and
-pure-y terms, px * qy; the factors are the closed-form eigenvectors of
-spectral._FACTORS, the ones the finite-N eigensystem uses. Each integral
-then reduces to bilinear forms u_x^T K u_y with a single real M x M kernel
-shared by all momentum-sign variants. The two branches share it too: under
-(lam, e) -> (-lam, -conj e), that is lam -> -lam and x -> pi - x, every
-factor maps to plus or minus its own conjugate, so the lambda = +1 weights
-|px|^2, |qy|^2 at pi - x are the lambda = -1 weights at x. The midpoint
-nodes are mirror-symmetric, x_{M-1-i} = pi - x_i, so the lambda = +1 kernel
-is the lambda = -1 kernel with both axes reversed, and one kernel build
-serves both branches. One pbar_matrix call (both branches, all 16 pairs)
-takes about 1.8 ms at M = 512 and 17 ms at M = 2048 on one core of a 2-core
-Xeon with OpenBLAS. sweep_theta and theorem36_check call it once per theta
-point, in grid order, on the calling thread.
+The two branches are equal. Under (lam, e) -> (-lam, -conj e), that is
+lam -> -lam and x -> pi - x, every factor of spectral._FACTORS maps to plus
+or minus its own conjugate, so the lambda = +1 integrand at pi - x is the
+lambda = -1 integrand at x, and I2 = I1 to rounding. Only lambda = -1 is
+computed, and pbar_matrix is 2 I^2. Theorem 3.6's diagonal 1/8 for the
+generalized Grover families reads I_aa = 1/4.
+
+At lambda = -1 every family's eigenvector factors into pure-x and pure-y
+terms, px * qy, the closed-form factors the finite-N eigensystem uses. The
+y factor is qy(y) = c(y) (Q0 + Q1 e^{iy}) with one complex scalar c(y)
+common to the four entries and real 4-vectors Q0, Q1; c cancels from the
+integrand. spectral._FLAT_Y_ENDS tabulates P+- = Q0 +- Q1, the factor's ends
+at y = 0 and y = pi, with t = sin(theta/2) and u = cos(theta/2):
+
+    family  P+                         P-
+    p24y1   [u+t, u+t, 1, -1]          [u-t, u-t, 1, 1]
+    p34x1   [u+t, u+t, 1, 1]           [u-t, t-u, 1, -1]
+    p23z1   p24y1's, rows [0, 1, 3, 2] p24y1's, rows [0, 1, 3, 2]
+    x3      [-2 tan(theta/2), same, 1, -1]  [0, 0, 1, 1]
+
+The integrand is then a ratio of two linear functions of cos y, and its
+midpoint sum over y has a closed form by the aliasing identity of the
+midpoint rule: sum_j cos(n y_j) over y_j = (j + 1/2) pi / M is M (-1)^k at
+n = 2Mk and 0 otherwise (_integrals). What is left is one midpoint sum over
+x, so a call costs O(M), with no M x M array. One pbar_matrix call (all 16
+pairs) takes about 0.09 ms at M = 128, 0.13 ms at M = 512 and 0.28 ms at
+M = 2048 on one core of a 2-core Xeon with OpenBLAS (x3 at theta 0.7).
+sweep_theta and theorem36_check call it once per theta point, in grid
+order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import COIN_FAMILIES
-from .spectral import _FACTORS
+from .spectral import _FACTORS, _FLAT_Y_ENDS
 from .walk import CHIRALITIES, chirality_index
 
 __all__ = [
@@ -75,62 +90,63 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-_PAIRS = np.triu_indices(4)   # the 10 independent (a <= b) pairs of a symmetric I_k
-_BLOCK = 1 << 16              # kernel entries per row block, 512 KB: stays in L2
 _GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")   # Theorem 3.6: diagonal 1/8
 
 
 def _integrals(family: str, theta: float, M: int) -> np.ndarray:
-    """I[k - 1, a, b] = class-sum integral of v_a conj(v_b) on branch k
-    (k = 1: lambda = -1, k = 2: lambda = +1), all 16 pairs of both branches.
+    """I[a, b] = lambda = -1 class-sum integral of v_a conj(v_b), all 16 pairs.
 
     The class sum runs over the momentum-sign variants ex, ey in {e, conj e}.
     px depends on x alone, qy on y alone, and both have real coefficients, so
-    px(conj e) = conj px(e) and qy(conj e) = conj qy(e). All four variants
-    then share the real kernel K = 1 / (|px|^2^T |qy|^2), and their bilinear
-    forms ux^T K uy sum to 4 Re(ux)^T K Re(uy). The reflection x -> pi - x
-    maps the nodes onto themselves in reverse order and the lambda = +1
-    weights onto the lambda = -1 weights, so branch 2 is the same bilinear
-    form with the lambda = -1 kernel and its own ux, uy read in reverse node
-    order. One real GEMM against the 2 x 10 independent pairs then serves
-    both branches. K is built a block of rows at a time into one reused
-    buffer, so the GEMM reads each block from cache."""
-    xs = QuadratureSpec(M).nodes()
-    e = np.exp(1j * xs)
-    a, b = _PAIRS
+    the four variants sum to 4 Re(ux) Re(uy) / W with ux, uy the pair products
+    of px, qy and W = |px|^2 . |qy|^2. On the y axis, qy = c(y) (Q0 + Q1 e^{iy})
+    (spectral._FLAT_Y_ENDS), and c cancels from uy / W. With P+- = Q0 +- Q1,
+    W / |c|^2 = A + B cos y with A +- B = |px|^2 . (P+-)^2, and
+    Re(uy_ab) / |c|^2 = gamma + delta cos y with gamma +- delta = P+-_a P+-_b.
+    The midpoint sum over y_j = (j + 1/2) pi / M then has a closed form:
+    1 / (A + B cos y) = (1 + 2 sum_n r^n cos ny) / D with D = sqrt(A^2 - B^2)
+    and r = -B / (A + D), and sum_j cos(n y_j) is M (-1)^k at n = 2Mk and 0
+    otherwise, so
+        T+-(x) = sum_j (1 +- cos y_j) / W
+               = (M / D) (1 +- r) (1 -+ r^(2M-1)) / (1 + r^(2M)).
+    The r^(2M) terms are the midpoint rule's aliasing error; dropping them
+    would give the exact y integral, which is another rule. What is left is
+    the midpoint sum over x of ux_ab (P+_a P+_b T+ + P-_a P-_b T-) / 2.
 
-    def pairs(v):
-        return (v[a] * np.conj(v[b])).real                       # (10, M)
-
-    px, qy = _FACTORS[family](theta, -1.0, e, e)
-    wx, wy = np.ascontiguousarray(np.abs(px.T) ** 2), np.abs(qy) ** 2
-    px2, qy2 = (f[:, ::-1] for f in _FACTORS[family](theta, 1.0, e, e))
-    ux = np.stack([pairs(px), pairs(px2)])                       # (2, 10, M)
-    uy = np.ascontiguousarray(np.concatenate([pairs(qy), pairs(qy2)]).T)   # (M, 20)
-    Kuy = np.empty((M, 2 * len(a)))
-    rows = min(M, max(1, _BLOCK // M))
-    K = np.empty((rows, M))
-    for r in range(0, M, rows):
-        Kr = K[:min(rows, M - r)]
-        np.matmul(wx[r:r + rows], wy, out=Kr)
-        np.reciprocal(Kr, out=Kr)
-        np.matmul(Kr, uy, out=Kuy[r:r + rows])
-    vals = np.einsum("kpm,mkp->kp", ux, Kuy.reshape(M, 2, len(a))) / (M * M)
-    out = np.empty((2, 4, 4))
-    out[:, a, b] = vals
-    out[:, b, a] = vals
-    return out
+    A +- B are sums of nonnegative terms, so nothing cancels in them, in
+    D = sqrt(A + B) sqrt(A - B), in 1 + r = (A - B + D) / (A + D) or in
+    1 - r = (A + B + D) / (A + D). log |r| = log1p(-(min(A +- B) + D) / (A + D))
+    gives the powers of r, and expm1 gives 1 - |r|^(2M-1) where r > 0."""
+    e = np.exp(1j * QuadratureSpec(M).nodes())
+    px = _FACTORS[family](theta, -1.0, e, e[:1])[0]             # qy is not used
+    R = np.concatenate([px.real, px.imag])                      # (8, M)
+    P = _FLAT_Y_ENDS[family](theta)                             # (2, 4): P+, P-
+    Ap, Am = P**2 @ (R[:4] ** 2 + R[4:] ** 2)                   # A + B, A - B
+    D = np.sqrt(Ap) * np.sqrt(Am)
+    AD = (Ap + Am) / 2 + D
+    with np.errstate(divide="ignore"):                          # r = 0: log 0
+        log_r = np.log1p(-(np.minimum(Ap, Am) + D) / AD)        # log |r|
+    odd = np.exp((2 * M - 1) * log_r)                           # |r|^(2M-1)
+    one_minus = -np.expm1((2 * M - 1) * log_r)                  # 1 - |r|^(2M-1)
+    r_pos = Am >= Ap
+    T = np.stack([(Am + D) * np.where(r_pos, one_minus, 1 + odd),
+                  (Ap + D) * np.where(r_pos, 1 + odd, one_minus)])
+    T *= M / (AD * D * (1 + odd * np.exp(log_r)))
+    G = (R * T[:, None, :]) @ R.T                               # (2, 8, 8)
+    S = G[:, :4, :4] + G[:, 4:, 4:]                 # sum_x T+- Re(px_a conj px_b)
+    I = (P[:, :, None] * P[:, None, :] * S).sum(axis=0) / (2 * M * M)
+    return np.triu(I) + np.triu(I, 1).T
 
 
 def pbar_matrix(family: str, theta: float, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Localization probabilities for all pairs: entry [l(S')-1, l(S)-1] is
     the infinite-lattice time-averaged probability of observing |S'> at the
-    origin for the walk started there in |S>."""
+    origin for the walk started there in |S>. The lambda = +1 integral equals
+    the lambda = -1 one, so the sum of the two squares is 2 I^2."""
     if family not in COIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     theta = _check_theta(theta)
-    I1, I2 = _integrals(family, theta, quad.M)
-    return I1**2 + I2**2
+    return 2 * _integrals(family, theta, quad.M) ** 2
 
 
 def _pair_value(pm: np.ndarray, S: str, S_prime: str) -> float:

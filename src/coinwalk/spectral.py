@@ -7,12 +7,13 @@ coin families the eigenpairs have closed forms, ordered k = 1..4 as
 is a product px * qy, with px a function of w^n alone and qy of w^m alone:
 at every eigenvalue for p34x1, p24y1 and p23z1, and at lambda = +-1 for x3,
 whose dispersive pair k = 3, 4 does not separate. _FACTORS holds the one
-formula per family; localization integrates the same lambda = +-1 factors,
-and the k = 1, 2 vectors here are outer products of factors computed on the
-N momenta. One batched dense eigensolve, _dense_eig, serves every other
-block: a family block whose formula denominator degenerates or whose
-eigenvalues collide is matched onto its closed-form eigenvalues, and every
-block of a raw coin is sorted by eigenvalue angle.
+formula per family; localization integrates the same lambda = -1 x factor,
+with _FLAT_Y_ENDS giving the y factor's ends in closed form, and the k = 1, 2
+vectors here are outer products of factors computed on the N momenta. One
+batched dense eigensolve, _dense_eig, serves every other block: a family
+block whose formula denominator degenerates or whose eigenvalues collide is
+matched onto its closed-form eigenvalues, and every block of a raw coin is
+sorted by eigenvalue angle.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def _factors_z1(theta: float, lam, wn, wm):
 
 
 def _factors_x3(theta: float, lam, wn, wm):
-    """lam = +-1 only: the dispersive pair k = 3, 4 does not separate."""
-    s, c = np.sin(theta), np.cos(theta)
-    qy1 = -s * (wm - lam) / (1 + c)
+    """lam = +-1 only: the dispersive pair k = 3, 4 does not separate.
+    tan(theta / 2) is sin / (1 + cos), but 1 + cos rounds to 0 within about
+    1e-8 of theta = +-pi."""
+    qy1 = -np.tan(theta / 2) * (wm - lam)
     one_x, one_y = np.ones_like(wn - lam), np.ones_like(qy1)
     px = np.stack([1 / (wn - lam), lam * wn / (wn - lam), one_x, one_x])
     qy = np.stack([qy1, qy1, one_y, lam * wm])
@@ -107,6 +109,35 @@ def _factors_x3(theta: float, lam, wn, wm):
 # (theta, lam, wn, wm) -> (px, qy); the eigenvector is px * qy
 _FACTORS = {"p24y1": _factors_y1, "p34x1": _factors_x1,
             "p23z1": _factors_z1, "x3": _factors_x3}
+
+
+def _u_plus_minus_t(theta: float) -> np.ndarray:
+    """cos(theta/2) +- sin(theta/2), written as sines so that neither
+    cancels near theta = -+pi/2."""
+    return np.sqrt(2) * np.sin(np.pi / 4 + np.array([theta, -theta]) / 2)
+
+
+def _ends_y1(theta: float) -> np.ndarray:
+    p, d = _u_plus_minus_t(theta)
+    return np.array([[p, p, 1.0, -1.0], [d, d, 1.0, 1.0]])
+
+
+def _ends_x1(theta: float) -> np.ndarray:
+    p, d = _u_plus_minus_t(theta)
+    return np.array([[p, p, 1.0, 1.0], [d, -d, 1.0, -1.0]])
+
+
+def _ends_x3(theta: float) -> np.ndarray:
+    g = -2 * np.tan(theta / 2)
+    return np.array([[g, g, 1.0, -1.0], [0.0, 0.0, 1.0, 1.0]])
+
+
+# theta -> [P+, P-], (2, 4). At lam = -1 each family's qy(y) is
+# c(y) (Q0 + Q1 e^{iy}) with one complex scalar c(y) and real 4-vectors Q0,
+# Q1; P+- = Q0 +- Q1 are its ends at y = 0 and y = pi, up to c
+_FLAT_Y_ENDS = {"p24y1": _ends_y1, "p34x1": _ends_x1,
+                "p23z1": lambda theta: _ends_y1(theta)[:, [0, 1, 3, 2]],
+                "x3": _ends_x3}
 
 
 def _vec_x3(theta: float, lam, a, b):

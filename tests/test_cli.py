@@ -331,6 +331,19 @@ def test_localize_pair_convergence_flag_exit_3(capsys):
     assert code == 0
 
 
+def test_localize_nan_delta_is_not_converged(capsys, monkeypatch):
+    from coinwalk import localization
+
+    def nan_delta(family, theta, quad):
+        return float("nan"), localization.pbar_matrix(family, theta, quad)
+
+    monkeypatch.setattr(localization, "_convergence", nan_delta)
+    code, out = run(capsys, "localize", "total", "--family", "x3", "--theta", "0.7",
+                    "--S", "U", "--quad-M", "32", "--check-convergence")
+    assert code == 3
+    assert json.loads(out)["converged"] is False
+
+
 @pytest.mark.parametrize("action", ["sweep", "theorem36"])
 def test_localize_check_convergence_rejected_outside_pair_total(capsys, action):
     code = main(["localize", action, "--points", "3", "--grid", "3", "--quad-M", "32",

@@ -15,7 +15,7 @@ from coinwalk.localization import (
     theta_grid,
     _integrals,
 )
-from coinwalk.spectral import _FACTORS, c_table_p24y1, finite_N_pbar_matrix
+from coinwalk.spectral import _FACTORS, _FLAT_Y_ENDS, c_table_p24y1, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
 
 QUICK = QuadratureSpec(64)
@@ -79,8 +79,8 @@ def test_grover_point_pair_value():
 
 
 def test_k1_integral_vanishes_at_theta_zero_for_rl_pair():
-    I1 = _integrals("p24y1", 0.0, 64)[0]
-    assert abs(I1[0, 1]) < 1e-14
+    I = _integrals("p24y1", 0.0, 64)
+    assert abs(I[0, 1]) < 1e-14
 
 
 def test_total_is_sum_of_pairs():
@@ -115,16 +115,18 @@ def test_x3_theta_zero_values():
 
 
 def test_p24y1_kernel_matches_c_table_sums():
-    # the kernel's p24y1 integrals against midpoint sums of the closed-form
-    # class-sum table, normalized by 1/(8 pi^2) for the symmetrized sum
+    # the p24y1 integral against midpoint sums of the closed-form class-sum
+    # table of both flat branches, normalized by 1/(8 pi^2) for the
+    # symmetrized sum
     M = 96
     xs = QuadratureSpec(M).nodes()
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     for theta in (0.8, -1.3):
+        got = _integrals("p24y1", theta, M)
         for k in (1, 2):
             want = np.array([[c_table_p24y1(a, b, k, theta, X, Y).sum() / (8 * M * M)
                               for b in (1, 2, 3, 4)] for a in (1, 2, 3, 4)])
-            assert np.abs(_integrals("p24y1", theta, M)[k - 1] - want).max() < 1e-10
+            assert np.abs(got - want).max() < 1e-10
 
 
 def _integrals_matvec(family, theta, M, k):
@@ -147,6 +149,9 @@ def _integrals_matvec(family, theta, M, k):
     return out / (4 * M * M)
 
 
+# The one computed integral against both branches of the direct form: this
+# is the test of the identity I_2 = I_1 that pbar_matrix = 2 I^2 rests on.
+
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 @pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, -3.1, 0.0, 1.5707, -1.5707])
 def test_kernel_matches_matvec_quadrature(family, theta):
@@ -154,17 +159,17 @@ def test_kernel_matches_matvec_quadrature(family, theta):
     for k in (1, 2):
         want = _integrals_matvec(family, theta, 64, k)
         assert np.abs(want.imag).max() < 1e-14
-        assert np.abs(got[k - 1] - want.real).max() < 1e-14
+        assert np.abs(got - want.real).max() < 1e-14
 
 
-def test_kernel_row_blocks_match_matvec_quadrature():
-    # M = 600 splits the kernel into row blocks with a shorter last block
+def test_kernel_large_even_M_matches_matvec_quadrature():
+    # M = 600: a large even node count, at the thetas of the odd-M test
     for family in COIN_FAMILIES:
         for theta in (2.2, 1.5707, -1.5707):
             got = _integrals(family, theta, 600)
             for k in (1, 2):
                 want = _integrals_matvec(family, theta, 600, k).real
-                assert np.abs(got[k - 1] - want).max() < 1e-14
+                assert np.abs(got - want).max() < 1e-14
 
 
 @pytest.mark.parametrize("family", COIN_FAMILIES)
@@ -174,13 +179,72 @@ def test_kernel_odd_M_matches_matvec_quadrature(family, theta):
     got = _integrals(family, theta, 65)
     for k in (1, 2):
         want = _integrals_matvec(family, theta, 65, k).real
-        assert np.abs(got[k - 1] - want).max() < 1e-14
+        assert np.abs(got - want).max() < 1e-14
+
+
+def _integrals_longdouble(family, theta, M):
+    """The lambda = -1 integral as a direct 2-D midpoint sum in extended
+    precision, nodes and factors included."""
+    ld = np.longdouble
+    xs = (np.arange(M, dtype=ld) + ld(0.5)) * (4 * np.arctan(ld(1))) / M
+    e = np.exp(1j * xs)
+    px, qy = _FACTORS[family](ld(theta), ld(-1), e, e)
+    K = 1 / np.einsum("im,in->mn", np.abs(px) ** 2, np.abs(qy) ** 2)
+    ux = (px[:, None] * np.conj(px[None, :])).real            # (4, 4, M)
+    uy = (qy[:, None] * np.conj(qy[None, :])).real
+    return np.einsum("abm,mn,abn->ab", ux, K, uy) / (M * M)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("family, theta", [
+    ("x3", 3.1415), ("x3", -3.1415), ("x3", 3.141),
+    *[(f, th) for f in GROVER_FAMILIES
+      for th in (math.pi / 2, -math.pi / 2, 1.5707, -1.5707)]])
+@pytest.mark.parametrize("M", [16, 65])
+def test_integrals_match_extended_precision_sum(family, theta, M):
+    # x3 near +-pi needs tan(theta / 2) itself: sin / (1 + cos) is 9e-14 off
+    want = _integrals_longdouble(family, theta, M)
+    assert np.abs(_integrals(family, theta, M) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, -3.1, 0.0, 1.5707, -1.5707, 1e-6])
+def test_flat_y_ends_match_factors(family, theta):
+    # the closed-form y sum's table against the lambda = -1 factors: at
+    # seeded (x, y), Re(qy_a conj qy_b) / W = (gamma + delta cos y) /
+    # (A + B cos y) with gamma +- delta = P+-_a P+-_b, A +- B = |px|^2 . (P+-)^2.
+    # y stays 0.1 from the ends, where e^{iy} -+ 1 cancels in the factors
+    rng = np.random.default_rng(16)
+    x, y = rng.uniform(0.1, np.pi - 0.1, (2, 50))
+    px, qy = _FACTORS[family](theta, -1.0, np.exp(1j * x), np.exp(1j * y))
+    W = np.einsum("im,im->m", np.abs(px) ** 2, np.abs(qy) ** 2)
+    uy = (qy[:, None] * np.conj(qy[None, :])).real
+    P = _FLAT_Y_ENDS[family](theta)
+    half = np.stack([np.cos(y / 2) ** 2, np.sin(y / 2) ** 2])   # (1 +- cos y) / 2
+    W_ends = ((P**2 @ np.abs(px) ** 2) * half).sum(axis=0)
+    uy_ends = np.einsum("ka,kb,km->abm", P, P, half)
+    want, got = uy / W, uy_ends / W_ends
+    scale = np.abs(qy) ** 2 / W               # |want_ab| <= sqrt(scale_a scale_b)
+    bound = 1e-14 * np.sqrt(scale[:, None] * scale[None, :])
+    assert (np.abs(got - want) <= bound).all()
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_pbar_matrix_finite_next_to_pi(family):
+    # 1 + cos(theta) rounds to 0 within about 1e-8 of pi, so no factor may
+    # divide by it
+    for theta in (np.nextafter(np.pi, 0), np.pi - 1e-9):
+        for th in (theta, -theta):
+            pm = pbar_matrix(family, th, QUICK)
+            assert np.isfinite(pm).all()
+            assert (pm >= 0).all() and (pm.sum(axis=0) <= 1 + 1e-12).all()
 
 
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 @pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, 1.5707, -1.5707])
 def test_branch_reflection(family, theta):
-    # the identity the shared kernel rests on: the lambda = +1 weights at
+    # the reflection behind I_2 = I_1: the lambda = +1 weights at
     # node M-1-i (pi - x_i) are the lambda = -1 weights at x_i. The nodes are
     # mirror-symmetric to rounding, and next to the edges e^{ix} -+ 1 cancels,
     # which turns that rounding into a relative error that grows like M eps
@@ -199,8 +263,8 @@ def test_branch_reflection(family, theta):
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_integrals_symmetric(family):
     for theta in (-2.4, 0.3, 1.7):
-        for I in _integrals(family, theta, 64):
-            assert np.array_equal(I, I.T)
+        I = _integrals(family, theta, 64)
+        assert np.array_equal(I, I.T)
 
 
 def test_p34x1_totals_equal_across_chirality():
