@@ -191,12 +191,12 @@ def _dense_eig(U: np.ndarray, targets: np.ndarray | None = None):
     return targets, Q
 
 
-def _blocks_tensor(C: np.ndarray, N: int) -> np.ndarray:
+def _phases(N: int) -> np.ndarray:
+    """The diagonal of D_{n,m}, (N, N, 4); the blocks are d[..., :, None] * C."""
     q = np.arange(N)
     w = np.exp(2j * np.pi * q / N)
     WN, WM = np.meshgrid(w, w, indexing="ij")
-    d = np.stack([1 / WN, WN, 1 / WM, WM], axis=-1)
-    return d[..., :, None] * C
+    return np.stack([1 / WN, WN, 1 / WM, WM], axis=-1)
 
 
 def _closed_form_vecs(family: str, theta: float, lams: np.ndarray, wn, wm) -> np.ndarray:
@@ -226,13 +226,15 @@ def _family_eigensystem_cached(family: str, theta: float, N: int):
     lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])   # (N,N,4)
     vecs = _closed_form_vecs(family, theta, lams, wn, wm)          # [n,m,k,:]
     C = coin_from_theta(family, theta).entries
-    U = _blocks_tensor(C, N)
+    d = _phases(N)
+    U = d[..., :, None] * C
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         norms = np.sqrt((vecs.real**2 + vecs.imag**2).sum(axis=-1))
         vecs = vecs / norms[..., None]
-        Uv = np.einsum("nmij,nmkj->nmki", U, vecs)
-        err = np.abs(Uv - lams[..., None] * vecs)
-        resid = np.sqrt((err * err).sum(axis=-1))
+        # U v = d * (C v): one GEMM over all N^2 * 4 vectors
+        err = (vecs.reshape(-1, 4) @ C.T).reshape(vecs.shape) * d[:, :, None, :]
+        err -= lams[..., None] * vecs
+        resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
     ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
     bad = ~ok.all(axis=-1)
     for a in range(4):
@@ -253,7 +255,7 @@ def coin_eigensystem(coin, N: int):
     fam = _family_theta(coin)
     if fam is not None:
         return _family_eigensystem_cached(fam[0], fam[1], N)
-    U = _blocks_tensor(coin.entries, N)
+    U = _phases(N)[..., :, None] * coin.entries
     lams, vecs = _dense_eig(U.reshape(-1, 4, 4))
     return lams.reshape(N, N, 4), vecs.reshape(N, N, 4, 4), np.ones((N, N), dtype=bool), U
 
@@ -351,12 +353,27 @@ def _symmetric(coin, lams: np.ndarray) -> bool:
 
 def _group_sums(vecs: np.ndarray, labels: np.ndarray, G: int) -> np.ndarray:
     """Sums of v_a conj(v_c), (G, ..., 4, 4), over the vectors vecs[b]
-    (shape (B, ..., 4)) of each group labels[b] in 0..G-1. The products and
-    the adds, in b order, round as the scalar member-by-member sum does."""
-    w = np.einsum("b...a,b...c->b...ac", vecs, np.conj(vecs))
-    sums = np.zeros((G,) + w.shape[1:], dtype=complex)
-    np.add.at(sums, labels, w)
-    return sums
+    (shape (B, ..., 4)) of each group labels[b] in 0..G-1. One bincount per
+    entry a <= c adds, in b order, products formed on the real planes as
+    numpy forms a complex product, so the sums round as the scalar
+    member-by-member sum does. (c, a) is the conjugate of (a, c); its
+    imaginary part is 0 - im, which keeps the +0.0 that its own sum gives.
+    On the diagonal that part is exactly 0 for finite vectors, so it is not
+    summed."""
+    K = int(np.prod(vecs.shape[1:-1], dtype=int))
+    bins = (labels[:, None] * K + np.arange(K)).reshape(-1)
+    vr = np.ascontiguousarray(vecs.real.reshape(-1, 4).T)
+    vi = np.ascontiguousarray(vecs.imag.reshape(-1, 4).T)
+    sums = np.zeros((G * K, 4, 4), dtype=complex)
+    for a in range(4):
+        for c in range(a, 4):
+            re = np.bincount(bins, vr[a] * vr[c] + vi[a] * vi[c], G * K)
+            sums.real[:, a, c] = sums.real[:, c, a] = re
+            if c > a:
+                im = np.bincount(bins, vi[a] * vr[c] - vr[a] * vi[c], G * K)
+                sums.imag[:, a, c] = im
+                sums.imag[:, c, a] = 0.0 - im
+    return sums.reshape((G,) + vecs.shape[1:-1] + (4, 4))
 
 
 def c_table_p24y1(l_sp: int, l_s: int, k: int, theta: float, zn: float, zm: float):
@@ -466,11 +483,9 @@ def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
 def spectrum_rows(coin, N: int):
     """Iterate (n, m, k, Re lam, Im lam) over all blocks."""
     lams, _, _, _ = coin_eigensystem(coin, N)
-    for n in range(N):
-        for m in range(N):
-            for k in range(4):
-                lam = lams[n, m, k]
-                yield n, m, k + 1, float(lam.real), float(lam.imag)
+    nmk = np.indices(lams.shape).reshape(3, -1)
+    nmk[2] += 1
+    yield from zip(*nmk.tolist(), lams.real.ravel().tolist(), lams.imag.ravel().tolist())
 
 
 def coefficient_rows(coin, N: int):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from coinwalk.coins import COIN_FAMILIES, coin_from_theta, grover_coin, set_member_from_theta
 from coinwalk.localization import QuadratureSpec
 from coinwalk.spectral import (
+    _DEGEN_TOL,
     _FACTORS,
     _RESID_TOL,
+    _closed_form_vecs,
     _cluster_circle,
     _dense_eig,
+    _group_sums,
     build_block,
     c_coefficient,
     c_table_p24y1,
@@ -640,3 +643,97 @@ def test_coefficient_rows_one_eigensystem(monkeypatch, coin):
                         lambda *a: calls.append(1) or real(*a))
     assert list(spectral_mod.coefficient_rows(C, N)) == want
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the bincount group sums and the one-GEMM residual against the einsum route
+# they replaced: equal bit for bit, signed zeros included
+
+
+def _einsum_group_sums(vecs, labels, G):
+    w = np.einsum("b...a,b...c->b...ac", vecs, np.conj(vecs))
+    sums = np.zeros((G,) + w.shape[1:], dtype=complex)
+    np.add.at(sums, labels, w)
+    return sums
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@pytest.mark.parametrize("inner", [(), (4,), (1,)])
+def test_group_sums_match_einsum_add_at(inner):
+    rng = np.random.default_rng(170)
+    B = 60
+    shape = (B,) + inner + (4,)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # mixed signs, zero real or imaginary parts, and a group of real vectors
+    v.real[rng.random(shape) < 0.2] = 0.0
+    v.imag[rng.random(shape) < 0.2] = 0.0
+    v.real[rng.random(shape) < 0.1] = -0.0
+    labels = rng.integers(0, 6, B)
+    labels[:3] = 7                  # one group of three real vectors
+    v[:3] = v[:3].real
+    labels[3] = 9                   # a single-member group
+    G = 12                          # groups 6, 8, 10 and 11 are empty
+    _assert_bits_equal(_group_sums(v, labels, G), _einsum_group_sums(v, labels, G))
+
+
+def _meshgrid_blocks(C, N):
+    w = np.exp(2j * np.pi * np.arange(N) / N)
+    WN, WM = np.meshgrid(w, w, indexing="ij")
+    return np.stack([1 / WN, WN, 1 / WM, WM], axis=-1)[..., :, None] * C
+
+
+def _einsum_family_eigensystem(family, theta, N):
+    zn = 2 * np.pi * np.arange(N) / N
+    w = np.exp(1j * zn)
+    lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])
+    vecs = _closed_form_vecs(family, theta, lams, w[:, None], w[None, :])
+    U = _meshgrid_blocks(coin_from_theta(family, theta).entries, N)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norms = np.sqrt((vecs.real**2 + vecs.imag**2).sum(axis=-1))
+        vecs = vecs / norms[..., None]
+        err = np.abs(np.einsum("nmij,nmkj->nmki", U, vecs) - lams[..., None] * vecs)
+        resid = np.sqrt((err * err).sum(axis=-1))
+    ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
+    bad = ~ok.all(axis=-1)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            bad |= np.abs(lams[..., a] - lams[..., b]) < _DEGEN_TOL
+    lams[bad], vecs[bad] = _dense_eig(U[bad], lams[bad])
+    return lams, vecs, bad, U
+
+
+def _einsum_pbar_matrix(lams, vecs, N):
+    labels = _cluster_circle(lams.reshape(-1))
+    sums = _einsum_group_sums(vecs.reshape(-1, 4), labels, labels.max() + 1)
+    return (np.abs(sums) ** 2).sum(axis=0) / N**4
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("theta", [1.5707, -1.5707, 0.4, -1.285, 1.83])
+def test_eigensystem_and_pbar_match_einsum_route(family, theta):
+    for N in (5, 51):
+        coin = coin_from_theta(family, theta)
+        want = _einsum_family_eigensystem(family, theta, N)
+        got = coin_eigensystem(coin, N)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if family == "x3":
+            assert got[2].any()
+        _assert_bits_equal(finite_N_pbar_matrix(coin, N), _einsum_pbar_matrix(*want[:2], N))
+
+
+def test_raw_pbar_matches_einsum_route():
+    C = coin_from_theta("x3", -1.285).entries
+    N = 21
+    lams, vecs, bad, U = coin_eigensystem(C, N)
+    assert np.array_equal(U, _meshgrid_blocks(C, N))
+    want_l, want_v = _dense_eig(U.reshape(-1, 4, 4))
+    assert np.array_equal(lams.reshape(-1, 4), want_l) and bad.all()
+    assert np.array_equal(vecs.reshape(-1, 4, 4), want_v)
+    _assert_bits_equal(finite_N_pbar_matrix(C, N), _einsum_pbar_matrix(lams, vecs, N))
