@@ -20,6 +20,17 @@ written once in each direction:
   the eight positions outside both EC supports, and at the other kind's
   EC positions. Each (kind, sign) block adds only its own four signed
   positions.
+- `_canonical_witness` finds the first of the 72 candidates, 18 transforms
+  times 4 blocks, within tol. Left factors fix row 1 and the conjugators
+  fix column 1, so the six transforms of a family all have A's row 1
+  (gathered by the conjugator) as their row 1, and its distance from the
+  block, the row-1 bound, is a term of every residual of the family.
+  `_row1_bound` computes it for the three families and four blocks with
+  the kernel's own arithmetic, so for finite entries it is the kernel's
+  row-1 term bit for bit. `_residuals` then reads only the families whose
+  bound is within tol for some block: for a generic matrix one family, 6
+  of the 18 transforms. Skipped candidates could not have matched, so the
+  witness and its residual are those of the full search, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ _LEFT = {"x": P34, "y": P24, "z": P23}  # multipliers of the generalized-Grover 
 _J_KIND_SIGN = {1: ("m", 1), 2: ("m", -1), 3: ("n", 1), 4: ("n", -1)}
 _KIND_SIGN_J = {ks: j for j, ks in _J_KIND_SIGN.items()}
 _MATCH_TOL = 1e-9  # of classify_batch_errors and group_closure_sample
+_EYE4 = np.eye(4)
 
 def _gather_index(fam: str, left: Permutation4) -> np.ndarray:
     """Flat indices reading Conj * left^T * A * Conj off A.reshape(16)."""
@@ -85,6 +97,13 @@ _SIGN = np.array([1.0, -1.0])[:, None, None]               # the sign axis of a 
 # matrices per block of _residuals: its (2, 16, 18 * 128) float64
 # temporaries are 590 KB each and stay in L2
 _ROWS = 128
+# Row 1 of every transform of family f is A[0, _CONJ_IDX[f]], as left
+# factors fix row 1. _ROW1 holds its columns at the slots (1, 1), (1, 3)
+# and at the positions (1, 2), (1, 4): (slot / entry, position, 1, family).
+_ROW1 = np.stack([_CONJ_IDX[f].reshape(2, 2).T for f in "xyz"], axis=-1)[:, :, None]
+# what the blocks j = 1..4 subtract at (1, 2) and (1, 4) besides base: sign
+# at the block's own EC position, (1, 4) for kind m and (1, 2) for kind n
+_ROW1_SIGN = np.array([[0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)[:, :, None, None]
 # (family, left-multiplied) -> the transform that reads that bare set
 # (ONE_PLUS_P3[0] is the identity)
 _SET_TRANSFORM = {(f, lm): 6 * i + (ONE_PLUS_P3.index(matrix_to_perm(_LEFT[f])) if lm else 0)
@@ -229,13 +248,13 @@ def build_permutative(x_row, P, Q, R) -> Coin:
 def is_orthogonal(A, tol: float = 1e-9) -> bool:
     """max |A^T A - I| <= tol (transpose, not conjugate: complex orthogonal)."""
     A = np.asarray(A, dtype=complex)
-    return bool(np.abs(A.T @ A - np.eye(len(A))).max() <= tol)
+    return bool(np.abs(A.T @ A - (_EYE4 if len(A) == 4 else np.eye(len(A)))).max() <= tol)
 
 
 def is_unitary(A, tol: float = 1e-9) -> bool:
     """max |A^H A - I| <= tol (conjugate transpose: the walk preserves norm)."""
     A = np.asarray(A, dtype=complex)
-    return bool(np.abs(A.conj().T @ A - np.eye(4)).max() <= tol)
+    return bool(np.abs(A.conj().T @ A - _EYE4).max() <= tol)
 
 
 def is_permutative(A, tol: float = 1e-9) -> bool:
@@ -339,24 +358,63 @@ def _residuals(mats: np.ndarray, transforms=slice(None)):
     return res, slots
 
 
+def _row1_bound(mats: np.ndarray) -> np.ndarray:
+    """The row-1 term of _residuals for every block and family: (4, 3, B),
+    j = 1..4 by family x, y, z.
+
+    The six transforms of family f share row 1, [X00, X01, X02, X03] =
+    A[0, _CONJ_IDX[f]], with the slots X00 and X02, so base there is
+    [X00, -X00, X02, -X02]. The slots match exactly; the distance is that
+    at (1, 2) and (1, 4), less sign on the real plane at the block's own EC
+    position. The arithmetic is the kernel's, X - (base + o) with o = 0 or
+    sign, written X - (o - slot): -slot + o rounds as o - slot, and base + 0
+    as base but for the sign of a zero, which squaring drops; a complex
+    difference takes each plane apart; then re^2 + im^2 and the square
+    root. For finite entries the bound is the kernel's row-1 term bit for
+    bit, so it never exceeds a residual of its family and block. A row with
+    a NaN or infinite entry has NaN or infinite residuals, which match
+    nothing, whatever the bound.
+    """
+    X = mats[:, 0].T[_ROW1]                          # (slot / entry, position, 1, family, B)
+    sq = (X[1] - (_ROW1_SIGN - X[0])).view(float)    # (position, j, family, B re/im)
+    sq *= sq
+    d2 = sq[..., ::2] + sq[..., 1::2]
+    return np.sqrt(np.maximum(d2[0], d2[1]))
+
+
 def _canonical_witness(mats: np.ndarray, tol: float):
     """The first candidate within tol of each matrix of a batch, in the
     canonical order family x < y < z, kind m < n, sign + < -, left
     permutation lexicographic. A tight pass runs first, so near-corner coins
     land on their true pattern rather than on an earlier corner within the
-    loose tolerance. Returns (candidate (B,), its residual (B,), slots); the
-    candidate is -1 and the residual +inf where nothing matches. Candidate i
-    is family i // 24, j = i // 6 % 4 + 1, left ONE_PLUS_P3[i % 6]."""
-    res, slots = _residuals(mats)
+    loose tolerance. Returns (candidate (B,), its residual (B,)); a matrix
+    has a witness where the residual is <= tol, and elsewhere neither value
+    means anything. Candidate i is family i // 24, j = i // 6 % 4 + 1, left
+    ONE_PLUS_P3[i % 6].
+
+    Only the families that can still match are read. Every residual of a
+    family is at least its row-1 bound (_row1_bound), so a family whose
+    bound exceeds tol, the larger pass tolerance, for all four blocks has no
+    hit; its 24 candidates count as +inf. For a generic matrix two of the
+    three families drop out, and _residuals reads 6 of the 18 transforms.
+    The witness and its residual are those of the full 72-candidate search,
+    bit for bit, for any input and any tol but NaN, which matches nothing.
+    """
     B = len(mats)
-    errs = res.reshape(B, 3, 6, 4).transpose(0, 1, 3, 2).reshape(B, 72)
-    best = np.full(B, -1)
-    for pass_tol in sorted({min(1e-12, tol), tol}):
-        hit = errs <= pass_tol
-        new = hit.any(axis=1) & (best < 0)
-        best[new] = hit.argmax(axis=1)[new]
-    err = np.where(best >= 0, errs[np.arange(B), best], np.inf)
-    return best, err, slots
+    tight = min(1e-12, tol)
+    live = _row1_bound(mats).min(axis=0) <= tol   # (family, B)
+    errs = np.empty((B, 3, 4, 6))
+    errs.fill(np.inf)
+    for f in range(3):
+        rows = live[f].nonzero()[0]
+        if len(rows):
+            res = _residuals(mats.take(rows, 0), slice(6 * f, 6 * f + 6))[0]
+            errs[rows, f] = res.transpose(0, 2, 1)
+    errs = errs.reshape(B, 72)
+    # 2 for a tight hit, 1 for a loose one: the first maximum is the witness
+    rank = (errs <= tight).view(np.int8) + (errs <= tol).view(np.int8)
+    best = rank.argmax(axis=1)
+    return best, errs[np.arange(B), best]
 
 
 def classify(A, tol: float = 1e-9) -> FamilyWitness:
@@ -374,13 +432,15 @@ def classify(A, tol: float = 1e-9) -> FamilyWitness:
         raise NotOrthogonalError(f"matrix is not orthogonal within tol={tol}")
     if not is_permutative(A, tol):
         raise NotPermutativeError(f"matrix is orthogonal but not permutative within tol={tol}")
-    best, _, slots = _canonical_witness(A[None], tol)
+    best, err = _canonical_witness(A[None], tol)
     i = int(best[0])
-    if i < 0:  # unreachable for genuinely permutative orthogonal input
+    if not err[0] <= tol:  # unreachable for genuinely permutative orthogonal input
         raise NotPermutativeError("no pattern family matched; input outside the classification")
     fam, left = i // 24, i % 6
     kind, sign = _J_KIND_SIGN[i // 6 % 4 + 1]
-    slot1, slot2 = slots[0, 6 * fam + left]
+    # the slots (1, 1) and (1, 3) lie in row 1, which the left factor keeps
+    c = _CONJ_IDX["xyz"[fam]]
+    slot1, slot2 = A[0, c[0]], A[0, c[2]]
     x, z = (slot1, slot2) if kind == "m" else (slot2, slot1)
     return FamilyWitness("xyz"[fam], ONE_PLUS_P3[left], kind, sign, complex(x), complex(z))
 
@@ -394,7 +454,8 @@ def classify_batch_errors(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise ValueError(f"classify_batch_errors expects a (B, 4, 4) batch, got shape {mats.shape}")
-    return _canonical_witness(mats, _MATCH_TOL)[1]
+    err = _canonical_witness(mats, _MATCH_TOL)[1]
+    return np.where(err <= _MATCH_TOL, err, np.inf)
 
 
 # ---------------------------------------------------------------------------

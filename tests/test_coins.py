@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -548,3 +549,171 @@ def test_group_closure_sample_rejects_count_below_one(count):
     with pytest.raises(ValueError, match="count must be >= 1"):
         group_closure_sample("x1-full", count, seed=1)
 
+
+
+# ---------------------------------------------------------------------------
+# the first-row family pruning of the witness search
+
+PRUNE_TOLS = (0.0, 1e-12, 1e-9, 1e-6, 0.3)
+EPS = np.finfo(float).eps
+
+
+def _full_search_witness(mats, tol):
+    # the search the pruned one replaced: all 18 transforms, all 72 candidates
+    from coinwalk.coins import _residuals
+    res, slots = _residuals(mats)
+    B = len(mats)
+    errs = res.reshape(B, 3, 6, 4).transpose(0, 1, 3, 2).reshape(B, 72)
+    best = np.full(B, -1)
+    for pass_tol in sorted({min(1e-12, tol), tol}):
+        hit = errs <= pass_tol
+        new = hit.any(axis=1) & (best < 0)
+        best[new] = hit.argmax(axis=1)[new]
+    err = np.where(best >= 0, errs[np.arange(B), best], np.inf)
+    return best, err, slots
+
+
+def _member_draws(rng, n, complex_theta=True):
+    # as the benchmark draws them: a random set, theta, and left factor
+    tags = rng.integers(0, len(SET_TAGS), n)
+    th = rng.uniform(-np.pi, np.pi, n).astype(complex)
+    if complex_theta:
+        cx = rng.random(n) < 0.5
+        th[cx] += 1j * rng.normal(0, 0.5, int(cx.sum()))
+    left = rng.random(n) < 0.5
+    out = np.empty((n, 4, 4), dtype=complex)
+    for i in range(n):
+        tag = SET_TAGS[tags[i]]
+        a = set_member_from_theta(tag, th[i])
+        out[i] = LEFT[tag[0]] @ a if left[i] else a
+    return out
+
+
+def _row1_edge_members(tol, rng):
+    """Real members with one row-1 entry moved so that the row-1 term of
+    their own block lies one ulp either side of tol: moved along the real
+    axis, and in random complex directions, where sqrt(re^2 + im^2) and
+    hypot can round apart."""
+    from coinwalk.coins import _CONJ_IDX, _SET_TRANSFORM, _residuals
+    out, own_candidate = [], []
+    for t, tag in enumerate(SET_TAGS):
+        kind, sign = {1: ("m", 1), 2: ("m", -1), 3: ("n", 1), 4: ("n", -1)}[int(tag[1])]
+        a = set_member_from_theta(tag, 0.3 + 0.4 * t).astype(complex)
+        c = _CONJ_IDX[tag[0]]
+        for pos, slot, own in ((1, 0, kind == "n"), (3, 2, kind == "m")):
+            w = (sign if own else 0) - a[0, c[slot]].real
+            for phi in (0.0, *rng.uniform(0, 2 * np.pi, 3)):
+                d = tol * complex(math.cos(phi), math.sin(phi))
+                re, im = w + d.real, d.imag
+
+                def term(r):
+                    return math.sqrt((r - w) ** 2 + im ** 2)
+
+                while term(re) > tol:
+                    re = math.nextafter(re, -math.inf if re > w else math.inf)
+                while term(math.nextafter(re, math.inf if re >= w else -math.inf)) <= tol:
+                    re = math.nextafter(re, math.inf if re >= w else -math.inf)
+                for r in (re, math.nextafter(re, math.inf if re >= w else -math.inf)):
+                    m = a.copy()
+                    m[0, c[pos]] = complex(r, im)
+                    out += [m, LEFT[tag[0]] @ m]
+                    own_candidate += [(_SET_TRANSFORM[tag[0], lm], int(tag[1]) - 1)
+                                      for lm in (False, True)]
+    out = np.array(out)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isfinite(_residuals(out)[0]).all()
+    return out, np.array(own_candidate)
+
+
+def _pruning_inputs(tol):
+    rng = np.random.default_rng(18)
+    parts = [_member_draws(rng, 240), _member_draws(rng, 120, complex_theta=False)]
+    parts.append(_member_draws(rng, 60) + 1e-10 * rng.normal(size=(60, 4, 4)))
+    parts.append(rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4)))
+    parts.append(rng.normal(size=(20, 4, 4)).astype(complex))
+    parts.append(np.stack([G, np.eye(4)]).astype(complex))
+    perms = np.array([np.eye(4)[list(q)] for q in permutations(range(4))])
+    signs = rng.choice([-1.0, 1.0], (len(perms), 4, 1))
+    parts += [perms.astype(complex), (signs * perms).astype(complex), -perms.astype(complex)]
+    bad = _member_draws(rng, 8)
+    bad[0, 0, 1] = np.nan
+    bad[1, 0, 0] = np.inf
+    bad[2, 0, 3] = -np.inf
+    bad[3, 2, 2] = np.nan
+    bad[4, 3, 1] = np.inf
+    bad[5, 0, 2] = complex(0, np.nan)
+    bad[6] = np.nan
+    bad[7, 1, 0] = -np.inf
+    parts.append(bad)
+    if tol > 0:
+        parts.append(_row1_edge_members(tol, rng)[0])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("tol", PRUNE_TOLS)
+def test_pruned_witness_matches_full_search(tol):
+    from coinwalk.coins import _CONJ_IDX, _canonical_witness
+    mats = _pruning_inputs(tol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        best, err = _canonical_witness(mats, tol)
+        ref_best, ref_err, ref_slots = _full_search_witness(mats, tol)
+    found = ref_best >= 0
+    assert np.array_equal(err <= tol, found)
+    assert np.array_equal(best[found], ref_best[found])
+    assert np.array_equal(err[found], ref_err[found])
+    # classify reads the slots off row 1 of A; they are the kernel's
+    fam, left = ref_best[found] // 24, ref_best[found] % 6
+    cols = np.array([_CONJ_IDX[f][[0, 2]] for f in "xyz"])[fam]
+    slots = mats[found, 0][np.arange(found.sum())[:, None], cols]
+    assert np.array_equal(slots, ref_slots[found, 6 * fam + left])
+    assert found.sum() > 200
+
+
+@pytest.mark.parametrize("tol", PRUNE_TOLS)
+def test_pruned_witness_empty_batch(tol):
+    from coinwalk.coins import _canonical_witness
+    empty = np.empty((0, 4, 4), dtype=complex)
+    best, err = _canonical_witness(empty, tol)
+    ref_best, ref_err, _ = _full_search_witness(empty, tol)
+    assert best.shape == err.shape == ref_best.shape == ref_err.shape == (0,)
+
+
+def test_row1_bound_never_exceeds_a_residual():
+    from coinwalk.coins import _residuals, _row1_bound
+    mats = np.concatenate([_pruning_inputs(t) for t in (1e-9, 0.3)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = _row1_bound(mats)                                   # (j, family, B)
+        res = _residuals(mats)[0].reshape(len(mats), 3, 6, 4)      # (B, family, left, j)
+    assert not np.any(bound.transpose(2, 1, 0)[:, :, None, :] > res)
+
+
+def test_row1_bound_is_the_kernel_row1_term():
+    # where row 1 alone is off the block, the residual of the matching
+    # candidate is the row-1 term, and the bound equals it bit for bit
+    from coinwalk.coins import _residuals, _row1_bound
+    rng = np.random.default_rng(5)
+    for tol in (1e-9, 1e-6, 0.3):
+        mats, own = _row1_edge_members(tol, rng)
+        t, j = own.T
+        at = np.arange(len(mats))
+        res = _residuals(mats)[0][at, t, j]
+        assert np.array_equal(_row1_bound(mats)[j, t // 6, at], res)
+        # each edge comes as [at or below tol, its left-multiplied copy,
+        # one ulp of the entry further out (above tol), its copy]
+        lo, hi = res.reshape(-1, 2, 2)[:, :, 0].T
+        assert np.all(lo <= tol) and np.all(hi > tol)
+        assert np.all(hi - lo <= 4 * EPS)
+
+
+def test_classify_batch_errors_whole_or_chunked():
+    rng = np.random.default_rng(7)
+    mats = np.concatenate([_member_draws(rng, 900), rng.normal(size=(60, 4, 4)),
+                           _pruning_inputs(1e-9)]).astype(complex)
+    mats = mats[rng.permutation(len(mats))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        whole = classify_batch_errors(mats)
+        for cuts in ([1, 2, 3], [127, 128, 129], [500, 1000]):
+            edges = [0, *cuts, len(mats)]
+            parts = [classify_batch_errors(mats[a:b]) for a, b in zip(edges, edges[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+    assert np.isfinite(whole).sum() > 900

@@ -308,6 +308,32 @@ def test_theorem36_check_quick():
     assert rep["max_abs_deviation"] < 1e-6
 
 
+def test_theorem36_worst_at_null_for_rounding_noise():
+    # on the default grid every deviation is rounding, so no argmax is named
+    from coinwalk.localization import _ROUNDING_FLOOR
+    rep = theorem36_check(QuadratureSpec(), grid=25)
+    assert rep["passed"]
+    assert rep["max_abs_deviation"] <= _ROUNDING_FLOOR
+    assert rep["worst_at"] is None
+
+
+def test_theorem36_worst_at_names_a_real_deviation(monkeypatch):
+    import coinwalk.localization as loc
+    target = ("p24y1", float(theta_grid(7)[2]))
+    real = loc.pbar_matrix
+
+    def perturbed(family, theta, quad=QuadratureSpec()):
+        pm = real(family, theta, quad)
+        if (family, float(theta)) == target:
+            pm = pm + 1e-9 * np.eye(4)
+        return pm
+
+    monkeypatch.setattr(loc, "pbar_matrix", perturbed)
+    rep = theorem36_check(QUICK, grid=7)
+    assert rep["worst_at"] == target
+    assert rep["max_abs_deviation"] == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_finite_N_consistency_spec_sizes():
     # |P_N - P_inf| falls like 1/N and is below 0.02 by N = 201
     for family, theta, l_s in [("p24y1", 0.9, 0), ("p34x1", -1.3, 2)]:
