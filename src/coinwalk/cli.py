@@ -209,18 +209,16 @@ def cmd_localize(args) -> int:
         header = list(rows[0].keys())
         _emit(args, {"rows": rows}, header, [[r[h] for h in header] for r in rows])
         return EXIT_OK
-    flagged = False
-    if args.check_convergence:
-        delta, pm = localization._convergence(args.family, args.theta, quad)
-        flagged = not delta <= 1e-4    # a NaN delta is not converged
-    else:
-        pm = localization.pbar_matrix(args.family, args.theta, quad)
     obj = {"family": args.family, "theta": args.theta, "S": args.S}
     if args.action == "pair":
         obj["Sprime"] = args.Sprime
-        val = localization._pair_value(pm, args.S, args.Sprime)
+        val = localization.pbar_infinity_pair(args.family, args.theta, args.S, args.Sprime, quad)
     else:
-        val = localization._total_value(pm, args.S)
+        val = localization.pbar_infinity_total(args.family, args.theta, args.S, quad)
+    flagged = False
+    if args.check_convergence:
+        delta = localization.convergence_delta(args.family, args.theta, quad)
+        flagged = not delta <= 1e-4    # a NaN delta is not converged
     obj.update(quad_M=quad.M, value=val, converged=not flagged)
     _emit_fields(args, obj)
     return EXIT_NUMERIC if flagged else EXIT_OK

@@ -317,10 +317,9 @@ def _residuals(mats: np.ndarray, transforms=slice(None)):
 
     Returns the residuals (B, T, 4): the largest |entry| of each transformed
     matrix minus the block j = 1..4 (see _J_KIND_SIGN) built from its own
-    slots; and those slots (B, T, 2), the entries (1, 1) and (1, 3).
-    Residuals come from squared moduli, so those below about 1e-154
-    underflow to 0; a row with a NaN or infinite entry gets a NaN or
-    infinite residual.
+    slots, the entries (1, 1) and (1, 3). Residuals come from squared
+    moduli, so those below about 1e-154 underflow to 0; a row with a NaN or
+    infinite entry gets a NaN or infinite residual.
 
     The batch is read in blocks of _ROWS matrices, entry position first and
     real and imaginary parts apart, so each step is one float operation on
@@ -333,13 +332,10 @@ def _residuals(mats: np.ndarray, transforms=slice(None)):
     read = _READ[:, transforms]
     B, nt = len(flat), read.shape[1]
     res = np.empty((B, nt, 4))
-    slots = np.empty((B, nt, 2), dtype=complex)
     for b0 in range(0, B, _ROWS):
         blk = flat[b0:b0 + _ROWS]
         n = len(blk)
         T = np.stack((blk.real.T, blk.imag.T))[:, read]   # (re/im, position, transform, matrix)
-        s = slots[b0:b0 + n]
-        s.real, s.imag = T[0, :2].T, T[1, :2].T
         T = T.reshape(2, 16, nt * n)
         base = _E12 @ T[:, :2]  # exact: E1 and E2 are 0/+-1 with disjoint supports
         # (kind, sign, EC position, item); an item is a (transform, matrix) pair
@@ -355,7 +351,7 @@ def _residuals(mats: np.ndarray, transforms=slice(None)):
         sq = np.maximum(e.max(axis=2), shared[:, None])
         res[b0:b0 + n] = sq.reshape(4, nt, n).T
     np.sqrt(res, out=res)
-    return res, slots
+    return res
 
 
 def _row1_bound(mats: np.ndarray) -> np.ndarray:
@@ -408,7 +404,7 @@ def _canonical_witness(mats: np.ndarray, tol: float):
     for f in range(3):
         rows = live[f].nonzero()[0]
         if len(rows):
-            res = _residuals(mats.take(rows, 0), slice(6 * f, 6 * f + 6))[0]
+            res = _residuals(mats.take(rows, 0), slice(6 * f, 6 * f + 6))
             errs[rows, f] = res.transpose(0, 2, 1)
     errs = errs.reshape(B, 72)
     # 2 for a tight hit, 1 for a loose one: the first maximum is the witness
@@ -511,7 +507,7 @@ def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
     A = np.asarray(A, dtype=complex)
     if A.shape != (4, 4):
         raise ValueError("in_pattern_set expects a 4x4 matrix")
-    res, _ = _residuals(A[None], [_SET_TRANSFORM[tag[0], bool(left)]])
+    res = _residuals(A[None], [_SET_TRANSFORM[tag[0], bool(left)]])
     return bool(res[0, 0, int(tag[1]) - 1] <= tol)
 
 
@@ -543,7 +539,7 @@ def group_closure_sample(chain_id: str, count: int, seed: int) -> dict:
     set_j = [j - 1 for _, j, _ in sets]
 
     def in_chain(mats):
-        res = _residuals(mats, transforms)[0]
+        res = _residuals(mats, transforms)
         return (res[:, set_t, set_j] <= _MATCH_TOL).any(axis=1)
 
     A, B = draw(count), draw(count)

@@ -173,17 +173,12 @@ def pbar_infinity_total(family: str, theta: float, S: str,
     return _total_value(pbar_matrix(family, theta, quad), S)
 
 
-def _convergence(family: str, theta: float, quad: QuadratureSpec):
-    """(convergence_delta, the M-node pbar_matrix it compared against)."""
-    coarse = pbar_matrix(family, theta, QuadratureSpec(max(quad.M // 2, 16)))
-    fine = pbar_matrix(family, theta, quad)
-    return float(np.abs(fine - coarse).max()), fine
-
-
 def convergence_delta(family: str, theta: float, quad: QuadratureSpec) -> float:
     """Largest pairwise change when halving the node count; a value above
     1e-4 flags non-convergence."""
-    return _convergence(family, theta, quad)[0]
+    coarse = pbar_matrix(family, theta, QuadratureSpec(max(quad.M // 2, 16)))
+    fine = pbar_matrix(family, theta, quad)
+    return float(np.abs(fine - coarse).max())
 
 
 def theta_grid(num_points: int = 400) -> np.ndarray:

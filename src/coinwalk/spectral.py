@@ -28,10 +28,10 @@ from .walk import CHIRALITIES, WalkState, _check_lattice, _walk_coin, chirality_
 
 __all__ = [
     "SpectralBlock", "DegeneracyClass",
-    "build_block", "closed_form_eigs", "coin_eigensystem",
-    "omega_class", "c_coefficient", "c_table_p24y1",
+    "build_block", "coin_eigensystem",
+    "omega_class", "c_coefficient",
     "finite_N_pbar", "finite_N_pbar_matrix",
-    "eta_matrix", "reconstruct_state", "spectrum_rows", "coefficient_rows",
+    "reconstruct_state", "spectrum_rows", "coefficient_rows",
 ]
 
 _RESID_TOL = 1e-11
@@ -286,13 +286,6 @@ def build_block(coin, n: int, m: int, N: int) -> SpectralBlock:
     return SpectralBlock(n, m, N, U[n, m], lams[n, m], vecs[n, m], bool(fb[n, m]))
 
 
-def closed_form_eigs(family: str, theta: float, n: int, m: int, N: int):
-    """Eigenpairs [(lam, v), ...] of a family block; vectors have unit norm
-    and come from the closed forms except where those degenerate."""
-    blk = build_block(coin_from_theta(family, theta), n, m, N)
-    return list(zip(blk.eigenvalues, blk.eigenvectors))
-
-
 @dataclass(frozen=True)
 class DegeneracyClass:
     """Quantum numbers sharing a block spectrum."""
@@ -376,42 +369,6 @@ def _group_sums(vecs: np.ndarray, labels: np.ndarray, G: int) -> np.ndarray:
     return sums.reshape((G,) + vecs.shape[1:-1] + (4, 4))
 
 
-def c_table_p24y1(l_sp: int, l_s: int, k: int, theta: float, zn: float, zm: float):
-    """Closed-form class sums for the p24y1 family, k in {1, 2}.
-
-    Arguments are the chirality indices l(S'), l(S), the branch k and the
-    momentum angles. Vectorizes over zn/zm arrays.
-    """
-    if k not in (1, 2):
-        raise ValueError("the closed-form table covers k in {1, 2}")
-    s, c = np.sin(theta), np.cos(theta)
-    cx, cy = np.cos(zn), np.cos(zm)
-    if l_sp == l_s:
-        return 2.0 * np.ones_like(np.asarray(cx, dtype=float))
-    pair = frozenset((l_sp, l_s))
-    if k == 1:
-        den = 2 + s * (cx + cy)
-        if pair in (frozenset((1, 2)), frozenset((3, 4))):
-            num = -2 * (cx + cy + 2 * s * cx * cy)
-        elif pair == frozenset((1, 3)):
-            num = 2 * (1 + c + (1 - c) * cx * cy + s * (cx + cy))
-        elif pair in (frozenset((1, 4)), frozenset((2, 3))):
-            num = -2 * (cx + cy + s + s * cx * cy)
-        else:  # {2, 4}
-            num = 2 * ((1 + c) * cx * cy + (1 - c) + s * (cx + cy))
-    else:
-        den = 2 - s * (cx + cy)
-        if pair in (frozenset((1, 2)), frozenset((3, 4))):
-            num = 2 * (cx + cy - 2 * s * cx * cy)
-        elif pair == frozenset((1, 3)):
-            num = 2 * (1 + c + (1 - c) * cx * cy - s * (cx + cy))
-        elif pair in (frozenset((1, 4)), frozenset((2, 3))):
-            num = 2 * (cx + cy - s - s * cx * cy)
-        else:  # {2, 4}
-            num = 2 * ((1 + c) * cx * cy + (1 - c) - s * (cx + cy))
-    return num / den
-
-
 def _cluster_circle(lams: np.ndarray) -> np.ndarray:
     """Group labels for unimodular eigenvalues equal within _DEGEN_TOL
     (circular): neighbours in angle order farther apart start a new label;
@@ -453,19 +410,6 @@ def _plane_waves(N: int) -> np.ndarray:
     xs = np.arange(-half, half + 1)
     w = np.exp(2j * np.pi / N)
     return w ** np.outer(np.arange(N), xs)
-
-
-def eta_matrix(coin, N: int) -> np.ndarray:
-    """All 4N^2 evolution-operator eigenvectors as columns, in canonical
-    index order, columns ordered by (n, m, k)."""
-    lams, vecs, _, _ = coin_eigensystem(coin, N)
-    ph = _plane_waves(N)
-    # eta[s, ix, iy] = v_s * w^{n x + m y} / N
-    eta = np.einsum("nmks,nx,my->nmksxy", vecs, ph, ph) / N
-    cols = eta.reshape(N * N * 4, 4, N, N)
-    # canonical flat order: iy slowest, ix, then chirality
-    cols = cols.transpose(0, 3, 2, 1).reshape(N * N * 4, -1)
-    return cols.T
 
 
 def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:

@@ -50,10 +50,10 @@ def test_spectral_public_names_frozen():
     from coinwalk import spectral
     assert spectral.__all__ == [
         "SpectralBlock", "DegeneracyClass",
-        "build_block", "closed_form_eigs", "coin_eigensystem",
-        "omega_class", "c_coefficient", "c_table_p24y1",
+        "build_block", "coin_eigensystem",
+        "omega_class", "c_coefficient",
         "finite_N_pbar", "finite_N_pbar_matrix",
-        "eta_matrix", "reconstruct_state", "spectrum_rows", "coefficient_rows",
+        "reconstruct_state", "spectrum_rows", "coefficient_rows",
     ]
 
 
@@ -145,14 +145,11 @@ PARAMETERS = {
         "SpectralBlock.residual": ["self"],
         "DegeneracyClass": ["representative", "members"],
         "build_block": ["coin", "n", "m", "N"],
-        "closed_form_eigs": ["family", "theta", "n", "m", "N"],
         "coin_eigensystem": ["coin", "N"],
         "omega_class": ["n", "m", "N", "symmetric"],
         "c_coefficient": ["coin", "S_prime", "S", "n", "m", "k", "N"],
-        "c_table_p24y1": ["l_sp", "l_s", "k", "theta", "zn", "zm"],
         "finite_N_pbar": ["coin", "S_prime", "S", "N"],
         "finite_N_pbar_matrix": ["coin", "N"],
-        "eta_matrix": ["coin", "N"],
         "reconstruct_state": ["coin", "N", "S", "t"],
         "spectrum_rows": ["coin", "N"],
         "coefficient_rows": ["coin", "N"],

@@ -331,13 +331,22 @@ def test_localize_pair_convergence_flag_exit_3(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("action", ["pair", "total"])
+@pytest.mark.parametrize("family,theta,M", [("x3", "3.1", "512"), ("p24y1", "-1.1", "2048")])
+def test_localize_check_convergence_keeps_value_bytes(capsys, action, family, theta, M):
+    # the flag adds the halving check; the value and every other byte stay
+    argv = ["localize", action, "--family", family, "--theta", theta, "--S", "U",
+            "--Sprime", "D", "--quad-M", M]
+    plain = run(capsys, *argv)
+    checked = run(capsys, *argv, "--check-convergence")
+    assert plain == checked
+    assert plain[0] == 0 and json.loads(plain[1])["converged"] is True
+
+
 def test_localize_nan_delta_is_not_converged(capsys, monkeypatch):
     from coinwalk import localization
 
-    def nan_delta(family, theta, quad):
-        return float("nan"), localization.pbar_matrix(family, theta, quad)
-
-    monkeypatch.setattr(localization, "_convergence", nan_delta)
+    monkeypatch.setattr(localization, "convergence_delta", lambda *args: float("nan"))
     code, out = run(capsys, "localize", "total", "--family", "x3", "--theta", "0.7",
                     "--S", "U", "--quad-M", "32", "--check-convergence")
     assert code == 3

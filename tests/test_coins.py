@@ -512,10 +512,8 @@ def test_residuals_match_reference_kernel():
                 for cid in chain_ids()]
     for B in (1, 127, 128, 129, 1000):
         for transforms in subsets:
-            res, slots = _residuals(mats[:B], transforms)
-            ref_res, ref_slots = _reference_residuals(mats[:B], transforms)
-            assert np.array_equal(res, ref_res)
-            assert np.array_equal(slots, ref_slots)
+            res = _residuals(mats[:B], transforms)
+            assert np.array_equal(res, _reference_residuals(mats[:B], transforms)[0])
 
 
 def test_classify_batch_errors_non_finite_and_empty():
@@ -561,7 +559,7 @@ EPS = np.finfo(float).eps
 def _full_search_witness(mats, tol):
     # the search the pruned one replaced: all 18 transforms, all 72 candidates
     from coinwalk.coins import _residuals
-    res, slots = _residuals(mats)
+    res = _residuals(mats)
     B = len(mats)
     errs = res.reshape(B, 3, 6, 4).transpose(0, 1, 3, 2).reshape(B, 72)
     best = np.full(B, -1)
@@ -570,7 +568,7 @@ def _full_search_witness(mats, tol):
         new = hit.any(axis=1) & (best < 0)
         best[new] = hit.argmax(axis=1)[new]
     err = np.where(best >= 0, errs[np.arange(B), best], np.inf)
-    return best, err, slots
+    return best, err
 
 
 def _member_draws(rng, n, complex_theta=True):
@@ -621,7 +619,7 @@ def _row1_edge_members(tol, rng):
                                       for lm in (False, True)]
     out = np.array(out)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert np.isfinite(_residuals(out)[0]).all()
+        assert np.isfinite(_residuals(out)).all()
     return out, np.array(own_candidate)
 
 
@@ -656,12 +654,13 @@ def test_pruned_witness_matches_full_search(tol):
     mats = _pruning_inputs(tol)
     with np.errstate(invalid="ignore", over="ignore"):
         best, err = _canonical_witness(mats, tol)
-        ref_best, ref_err, ref_slots = _full_search_witness(mats, tol)
+        ref_best, ref_err = _full_search_witness(mats, tol)
+        ref_slots = _reference_residuals(mats)[1]
     found = ref_best >= 0
     assert np.array_equal(err <= tol, found)
     assert np.array_equal(best[found], ref_best[found])
     assert np.array_equal(err[found], ref_err[found])
-    # classify reads the slots off row 1 of A; they are the kernel's
+    # classify reads the slots off row 1 of A; they are the reference kernel's
     fam, left = ref_best[found] // 24, ref_best[found] % 6
     cols = np.array([_CONJ_IDX[f][[0, 2]] for f in "xyz"])[fam]
     slots = mats[found, 0][np.arange(found.sum())[:, None], cols]
@@ -674,7 +673,7 @@ def test_pruned_witness_empty_batch(tol):
     from coinwalk.coins import _canonical_witness
     empty = np.empty((0, 4, 4), dtype=complex)
     best, err = _canonical_witness(empty, tol)
-    ref_best, ref_err, _ = _full_search_witness(empty, tol)
+    ref_best, ref_err = _full_search_witness(empty, tol)
     assert best.shape == err.shape == ref_best.shape == ref_err.shape == (0,)
 
 
@@ -683,7 +682,7 @@ def test_row1_bound_never_exceeds_a_residual():
     mats = np.concatenate([_pruning_inputs(t) for t in (1e-9, 0.3)])
     with np.errstate(invalid="ignore", over="ignore"):
         bound = _row1_bound(mats)                                   # (j, family, B)
-        res = _residuals(mats)[0].reshape(len(mats), 3, 6, 4)      # (B, family, left, j)
+        res = _residuals(mats).reshape(len(mats), 3, 6, 4)         # (B, family, left, j)
     assert not np.any(bound.transpose(2, 1, 0)[:, :, None, :] > res)
 
 
@@ -696,7 +695,7 @@ def test_row1_bound_is_the_kernel_row1_term():
         mats, own = _row1_edge_members(tol, rng)
         t, j = own.T
         at = np.arange(len(mats))
-        res = _residuals(mats)[0][at, t, j]
+        res = _residuals(mats)[at, t, j]
         assert np.array_equal(_row1_bound(mats)[j, t // 6, at], res)
         # each edge comes as [at or below tol, its left-multiplied copy,
         # one ulp of the entry further out (above tol), its copy]

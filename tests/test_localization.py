@@ -15,8 +15,10 @@ from coinwalk.localization import (
     theta_grid,
     _integrals,
 )
-from coinwalk.spectral import _FACTORS, _FLAT_Y_ENDS, c_table_p24y1, finite_N_pbar_matrix
+from coinwalk.spectral import _FACTORS, _FLAT_Y_ENDS, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
+
+from c_table_oracle import c_table_p24y1
 
 QUICK = QuadratureSpec(64)
 EPS = np.finfo(float).eps

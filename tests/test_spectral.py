@@ -17,12 +17,9 @@ from coinwalk.spectral import (
     _group_sums,
     build_block,
     c_coefficient,
-    c_table_p24y1,
     closed_form_eigenvalues,
-    closed_form_eigs,
     coefficient_rows,
     coin_eigensystem,
-    eta_matrix,
     finite_N_pbar,
     finite_N_pbar_matrix,
     omega_class,
@@ -35,6 +32,8 @@ from coinwalk.walk import (
     initial_state,
     time_averaged_chirality_profile,
 )
+
+from c_table_oracle import c_table_p24y1
 
 THETAS = (-2.8, -1.571, -0.9, 0.0, 0.33, 1.571, 2.6)
 
@@ -71,8 +70,7 @@ def test_p24y1_cubic_coefficient_matches_momentum_sum():
 
 
 def test_sin_zero_gives_pm_i_pair():
-    eigs = closed_form_eigs("p24y1", 0.0, 1, 2, 5)
-    lams = [lam for lam, _ in eigs]
+    lams = build_block(coin_from_theta("p24y1", 0.0), 1, 2, 5).eigenvalues
     assert lams[2] == pytest.approx(-1j)
     assert lams[3] == pytest.approx(1j)
 
@@ -93,10 +91,25 @@ def test_eigensystem_residuals_and_unimodularity(family, theta, N):
     assert np.abs(lams.prod(axis=-1) - dets).max() < 1e-10
 
 
-@pytest.mark.parametrize("family", COIN_FAMILIES)
-def test_within_block_orthogonality(family):
-    c = coin_from_theta(family, -1.2)
-    lams, vecs, _, _ = coin_eigensystem(c, 5)
+def _haar_unitary(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("coin,N", [
+    *(pytest.param(coin_from_theta(f, -1.2), 5, id=f) for f in COIN_FAMILIES),
+    *(pytest.param(coin_from_theta(f, 0.7), N, id=f"{f}-0.7-N{N}")
+      for f in COIN_FAMILIES for N in (3, 5)),
+    pytest.param(grover_coin().entries, 9, id="grover_raw"),
+    pytest.param(coin_from_theta("x3", 0.4).entries, 9, id="x3_raw-0.4"),
+    pytest.param(_haar_unitary(2021), 9, id="haar"),
+])
+def test_within_block_orthogonality(coin, N):
+    # the plane waves are orthonormal, so the 4N^2 eigenvectors of the
+    # evolution operator are orthonormal exactly when each block's are
+    vecs = coin_eigensystem(coin, N)[1]
     gram = np.einsum("nmki,nmli->nmkl", np.conj(vecs), vecs)
     assert np.abs(gram - np.eye(4)).max() < 1e-10
 
@@ -196,14 +209,6 @@ def test_c_table_theta_zero_example():
     assert val == pytest.approx(-(np.cos(zn) + np.cos(zm)))
 
 
-@pytest.mark.parametrize("family", COIN_FAMILIES)
-@pytest.mark.parametrize("N", [3, 5])
-def test_eta_gram_identity(family, N):
-    E = eta_matrix(coin_from_theta(family, 0.7), N)
-    gram = E.conj().T @ E
-    assert np.abs(gram - np.eye(4 * N * N)).max() < 1e-8
-
-
 @pytest.mark.parametrize("family,theta", [("p24y1", 0.7), ("p24y1", -2.1),
                                           ("x3", 0.7), ("x3", -2.1)])
 @pytest.mark.parametrize("N", [3, 5])
@@ -284,9 +289,9 @@ def test_p24y1_edge_vectors_match_published_special_case():
         s, c = np.sin(theta), np.cos(theta)
         for N, n in [(5, 1), (7, 3), (9, 2)]:
             wn = np.exp(2j * np.pi * n / N)
-            eigs = closed_form_eigs("p24y1", theta, n, 0, N)
-            lam1, v1 = eigs[0]
-            lam2, v2 = eigs[1]
+            blk = build_block(coin_from_theta("p24y1", theta), n, 0, N)
+            lam1, lam2 = blk.eigenvalues[:2]
+            v1, v2 = blk.eigenvectors[:2]
             assert lam1 == -1 and lam2 == 1
             den_p = (1 + c) / wn + s
             ref1 = np.array([(1 + c + s) / wn / den_p, -(1 + c + s) / den_p, 1, -1])
@@ -302,9 +307,7 @@ def test_p24y1_interior_vectors_match_published_pm_one_branches():
     theta, N, n, m = (1.1, 7, 2, 4)
     s, c = np.sin(theta), np.cos(theta)
     wn, wm = np.exp(2j * np.pi * n / N), np.exp(2j * np.pi * m / N)
-    eigs = closed_form_eigs("p24y1", theta, n, m, N)
-    _, v1 = eigs[0]
-    _, v2 = eigs[1]
+    v1, v2 = build_block(coin_from_theta("p24y1", theta), n, m, N).eigenvectors[:2]
     ref1 = np.array([(1 + c + s * wm) / wn / ((1 + c) / wn + s),
                      -(1 + c + s * wm) / ((1 + c) / wn + s), 1, -wm])
     ref2 = np.array([(1 + c - s * wm) / wn / ((1 + c) / wn - s),
@@ -356,8 +359,7 @@ def test_x3_eigen_angle_relation():
     # + (1-cos t) cos zm; at cos t = 0 and n = m this is cos zn itself
     for N, n in [(5, 1), (7, 3)]:
         zn = 2 * np.pi * n / N
-        eigs = closed_form_eigs("x3", np.pi / 2, n, n, N)
-        lam3 = eigs[2][0]
+        lam3 = build_block(coin_from_theta("x3", np.pi / 2), n, n, N).eigenvalues[2]
         assert lam3.real == pytest.approx(np.cos(zn), abs=1e-12)
         assert abs(lam3) == pytest.approx(1.0, abs=1e-12)
 
@@ -376,7 +378,8 @@ def test_p34x1_vectors_match_published_formula():
         n, m = (int(v) for v in rng.integers(1, N, 2))
         s, c = np.sin(theta), np.cos(theta)
         wn, wm = np.exp(2j * np.pi * n / N), np.exp(2j * np.pi * m / N)
-        for k, (lam, v) in enumerate(closed_form_eigs("p34x1", theta, n, m, N), 1):
+        blk = build_block(coin_from_theta("p34x1", theta), n, m, N)
+        for k, (lam, v) in enumerate(zip(blk.eigenvalues, blk.eigenvectors), 1):
             r1 = (s - (1 - c) * lam / wn) / ((1 - c) - s * lam * wm)
             ref = np.array([
                 r1 * ((1 + c) - lam * s * wm) / (s - (1 + c) * lam * wn),
@@ -516,13 +519,6 @@ def _oracle_labels(lams, tol=_ORACLE_TOL):
     if current > 0 and abs(lams[order[0]] - lams[order[-1]]) <= tol:
         labels[labels == labels[order[-1]]] = labels[order[0]]
     return labels
-
-
-def _haar_unitary(seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _assert_matches_oracle(lams, vecs, U, blocks, targets=None):
