@@ -13,7 +13,14 @@ vectors here are outer products of factors computed on the N momenta. One
 batched dense eigensolve, _dense_eig, serves every other block: a family
 block whose formula denominator degenerates or whose eigenvalues collide is
 matched onto its closed-form eigenvalues, and every block of a raw coin is
-sorted by eigenvalue angle.
+sorted by eigenvalue angle in (-pi, pi].
+
+coin_eigensystem is one route for every coin: a raw coin is the case where
+every block falls back, so one _dense_eig call serves both. It keeps one
+eigensystem, the last, keyed by (family, theta, N) for a family coin and by
+(entries, N) for a raw one: each caller asks for one coin's eigensystem
+several times in a row, and memory stays bounded by one eigensystem. The
+cached arrays are shared with every caller, so they are read-only.
 """
 
 from __future__ import annotations
@@ -155,8 +162,10 @@ def _dense_eig(U: np.ndarray, targets: np.ndarray | None = None):
     """Dense eigensolve of a (B, 4, 4) stack of blocks: eigenvalues (B, 4)
     and unit eigenvectors (B, 4, 4) indexed [b, k, :].
 
-    Without targets the numeric eigenvalues, sorted by rounded (angle, imag),
-    are their own targets. A group is every target within _DEGEN_TOL of its
+    Without targets the numeric eigenvalues, sorted by rounded (angle, imag)
+    with the angle in (-pi, pi], are their own targets: an angle within 1e-9
+    of -pi counts as +pi, so lambda = -1 sorts last whatever the sign of its
+    zero imaginary part. A group is every target within _DEGEN_TOL of its
     first member; group by group, each target takes the nearest unused
     numeric eigenpair and keeps its own value. The vectors of a group are
     orthonormalized by Gram-Schmidt in that order, and each vector's first
@@ -166,8 +175,9 @@ def _dense_eig(U: np.ndarray, targets: np.ndarray | None = None):
     V = V.transpose(0, 2, 1)                                       # V[b, j, :]
     rows = np.arange(len(U))
     if targets is None:
-        targets = lam[rows[:, None], np.lexsort((np.round(lam.imag, 9),
-                                                  np.round(np.angle(lam), 9)))]
+        ang = np.angle(lam)
+        ang[ang <= -np.pi + 1e-9] = np.pi
+        targets = lam[rows[:, None], np.lexsort((np.round(lam.imag, 9), np.round(ang, 9)))]
     near = np.abs(targets[:, :, None] - targets[:, None, :]) < _DEGEN_TOL
     lead = np.tile(np.arange(4), (len(U), 1))
     for k in range(1, 4):
@@ -218,30 +228,34 @@ def _closed_form_vecs(family: str, theta: float, lams: np.ndarray, wn, wm) -> np
     return vecs
 
 
-@lru_cache(maxsize=32)
-def _family_eigensystem_cached(family: str, theta: float, N: int):
-    zn = 2 * np.pi * np.arange(N) / N
-    w = np.exp(1j * zn)
-    wn, wm = w[:, None], w[None, :]
-    lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])   # (N,N,4)
-    vecs = _closed_form_vecs(family, theta, lams, wn, wm)          # [n,m,k,:]
-    C = coin_from_theta(family, theta).entries
+@lru_cache(maxsize=1)
+def _eigensystem(family: str | None, theta, N: int):
+    """coin_eigensystem; a raw coin has family None and its entries' bytes as theta."""
     d = _phases(N)
-    U = d[..., :, None] * C
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norms = np.sqrt((vecs.real**2 + vecs.imag**2).sum(axis=-1))
-        vecs = vecs / norms[..., None]
-        # U v = d * (C v): one GEMM over all N^2 * 4 vectors
-        err = (vecs.reshape(-1, 4) @ C.T).reshape(vecs.shape) * d[:, :, None, :]
-        err -= lams[..., None] * vecs
-        resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
-    ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
-    bad = ~ok.all(axis=-1)
-    for a in range(4):
-        for b in range(a + 1, 4):
+    if family is None:
+        C = np.frombuffer(theta, dtype=complex).reshape(4, 4)
+        bad = np.ones((N, N), dtype=bool)
+        lams, vecs = np.empty((N, N, 4), dtype=complex), np.empty((N, N, 4, 4), dtype=complex)
+    else:
+        C = coin_from_theta(family, theta).entries
+        zn = 2 * np.pi * np.arange(N) / N
+        w = np.exp(1j * zn)
+        lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])  # (N,N,4)
+        vecs = _closed_form_vecs(family, theta, lams, w[:, None], w[None, :])  # [n,m,k,:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            norms = np.sqrt((vecs.real**2 + vecs.imag**2).sum(axis=-1))
+            vecs = vecs / norms[..., None]
+            # U v = d * (C v): one GEMM over all N^2 * 4 vectors
+            err = (vecs.reshape(-1, 4) @ C.T).reshape(vecs.shape) * d[:, :, None, :]
+            err -= lams[..., None] * vecs
+            resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
+        ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
+        bad = ~ok.all(axis=-1)
+        for a, b in zip(*np.triu_indices(4, 1)):
             bad |= np.abs(lams[..., a] - lams[..., b]) < _DEGEN_TOL
-    lams[bad], vecs[bad] = _dense_eig(U[bad], lams[bad])
-    for arr in (lams, vecs, bad):
+    U = d[..., :, None] * C
+    lams[bad], vecs[bad] = _dense_eig(U[bad], None if family is None else lams[bad])
+    for arr in (lams, vecs, bad, U):
         arr.setflags(write=False)
     return lams, vecs, bad, U
 
@@ -249,15 +263,12 @@ def _family_eigensystem_cached(family: str, theta: float, N: int):
 def coin_eigensystem(coin, N: int):
     """Eigensystem of all N^2 blocks: eigenvalues (N,N,4), unit eigenvectors
     (N,N,4,4) indexed [n,m,k,:], fallback mask (N,N), blocks (N,N,4,4).
-    Takes the lattice sides (odd, >= 3) and coins (walk._walk_coin) the walk takes."""
+    Takes the lattice sides (odd, >= 3) and coins (walk._walk_coin) the walk
+    takes. One route serves every coin, a raw coin being the case where every
+    block falls back; only the last result is cached, and it is read-only."""
     N = _check_lattice(N)
     coin = _walk_coin(coin)
-    fam = _family_theta(coin)
-    if fam is not None:
-        return _family_eigensystem_cached(fam[0], fam[1], N)
-    U = _phases(N)[..., :, None] * coin.entries
-    lams, vecs = _dense_eig(U.reshape(-1, 4, 4))
-    return lams.reshape(N, N, 4), vecs.reshape(N, N, 4, 4), np.ones((N, N), dtype=bool), U
+    return _eigensystem(*(_family_theta(coin) or (None, coin.entries.tobytes())), N)
 
 
 @dataclass(frozen=True)
@@ -414,7 +425,10 @@ def _plane_waves(N: int) -> np.ndarray:
 
 def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
     """Spectral reconstruction of the state after t steps from the canonical
-    initial state |S> at the origin."""
+    initial state |S> at the origin. t must be an integer >= 0, as for
+    walk.evolve; numpy integers pass."""
+    if not isinstance(t, (int, np.integer)) or t < 0:
+        raise ValueError(f"t must be an integer >= 0, got {t!r}")
     lams, vecs, _, _ = coin_eigensystem(coin, N)
     b = chirality_index(S) - 1
     # sum over k of lam^t v conj(v_b); phases reattach the plane waves

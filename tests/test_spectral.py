@@ -14,7 +14,9 @@ from coinwalk.spectral import (
     _closed_form_vecs,
     _cluster_circle,
     _dense_eig,
+    _eigensystem,
     _group_sums,
+    _phases,
     build_block,
     c_coefficient,
     closed_form_eigenvalues,
@@ -471,10 +473,13 @@ _ORACLE_TOL = 1e-9
 def _oracle_block(U, target_lams):
     """Dense eigensolve of one 4x4 block, one block at a time: greedy
     matching onto target_lams group by group, QR inside each degenerate
-    group, first entry above 1e-8 made real positive."""
+    group, first entry above 1e-8 made real positive. Without targets the
+    eigenvalues are sorted by angle in (-pi, pi], -pi + 1e-9 and below
+    counting as +pi."""
     lam, V = np.linalg.eig(U)
     if target_lams is None:
-        order = np.lexsort((np.round(lam.imag, 9), np.round(np.angle(lam), 9)))
+        ang = np.array([np.pi if a <= -np.pi + 1e-9 else a for a in np.angle(lam)])
+        order = np.lexsort((np.round(lam.imag, 9), np.round(ang, 9)))
         lam, V = lam[order], V[:, order]
         target_lams = lam
     groups = []
@@ -733,3 +738,66 @@ def test_raw_pbar_matches_einsum_route():
     assert np.array_equal(lams.reshape(-1, 4), want_l) and bad.all()
     assert np.array_equal(vecs.reshape(-1, 4, 4), want_v)
     _assert_bits_equal(finite_N_pbar_matrix(C, N), _einsum_pbar_matrix(lams, vecs, N))
+
+
+# ---------------------------------------------------------------------------
+# one cached eigensystem route: a raw coin is the all-fallback case
+
+
+def test_raw_eigensystem_is_cached_read_only():
+    C = _haar_unitary(404)
+    N = 7
+    first = coin_eigensystem(C, N)
+    second = coin_eigensystem(np.array(C), N)
+    for a, b in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+    _, _, bad, U = first
+    assert np.array_equal(U, _phases(N)[..., :, None] * C)
+    assert np.array_equal(bad, np.ones((N, N), dtype=bool))
+
+
+def test_eigensystem_cache_holds_one_entry():
+    coin_eigensystem(coin_from_theta("p24y1", 0.7), 5)
+    coin_eigensystem(grover_coin().entries, 5)
+    assert _eigensystem.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("family, theta",
+                         [("p24y1", -math.pi / 2), ("p34x1", 0.9), ("x3", 0.4), ("p23z1", 1.1)])
+def test_raw_class_members_share_the_representative_order(family, theta):
+    # every member of a class lists its eigenvalues in the representative's
+    # order, so on classes with no repeated eigenvalue the raw class sums
+    # are the family path's, once k is matched by eigenvalue
+    coin = coin_from_theta(family, theta)
+    N = 9
+    raw_lams = coin_eigensystem(coin.entries, N)[0]
+    raw = list(coefficient_rows(coin.entries, N))
+    fam_lams = coin_eigensystem(coin, N)[0]
+    fam = {row[:5]: complex(*row[5:]) for row in coefficient_rows(coin, N)}
+    assert {row[:5] for row in raw} == set(fam)
+    k_fam = {}
+    for n, m in {row[2:4] for row in raw}:
+        rep = raw_lams[n, m]
+        for nn, mm in omega_class(n, m, N, symmetric=family != "x3").members:
+            assert np.abs(raw_lams[nn, mm] - rep).max() < _DEGEN_TOL, (n, m, nn, mm)
+        if np.abs(rep[:, None] - rep[None, :])[np.triu_indices(4, 1)].min() > _DEGEN_TOL:
+            k_fam[n, m] = 1 + np.abs(fam_lams[n, m][None, :] - rep[:, None]).argmin(axis=1)
+    assert k_fam
+    for S, Sp, n, m, k, re, im in raw:
+        if (n, m) in k_fam:
+            want = fam[S, Sp, n, m, k_fam[n, m][k - 1]]
+            assert abs(complex(re, im) - want) < 1e-13, (S, Sp, n, m, k)
+
+
+@pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0])
+def test_reconstruct_state_rejects_what_evolve_rejects(t):
+    with pytest.raises(ValueError, match="t must be an integer >= 0"):
+        reconstruct_state(coin_from_theta("p24y1", 0.7), 5, "R", t)
+
+
+@pytest.mark.parametrize("t", [np.int64(4), np.uint8(4)])
+def test_reconstruct_state_takes_numpy_integer_t(t):
+    coin = coin_from_theta("p24y1", 0.7)
+    rec = reconstruct_state(coin, 5, "R", t)
+    assert np.abs(rec.amps - evolve(initial_state(5, "R"), coin, int(t)).amps).max() < 1e-12
