@@ -94,8 +94,9 @@ _ORDER = np.concatenate([np.flatnonzero(_EC["m"] + _EC["n"] == 0),
 _READ = _GATHER[:, _ORDER].T                               # (16, 18)
 _E12 = np.stack([_E1.ravel(), _E2.ravel()], axis=1)[_ORDER].astype(float)  # (16, 2)
 _SIGN = np.array([1.0, -1.0])[:, None, None]               # the sign axis of a kind
-# matrices per block of _residuals: its (2, 16, 18 * 128) float64
-# temporaries are 590 KB each and stay in L2
+# matrices per block of _residuals: its (2, 16, nt * 128) float64
+# temporaries, for the nt transforms a caller reads (6 in _canonical_witness,
+# 1 or 2 in the others), are at most 197 KB each and stay in L2
 _ROWS = 128
 # Row 1 of every transform of family f is A[0, _CONJ_IDX[f]], as left
 # factors fix row 1. _ROW1 holds its columns at the slots (1, 1), (1, 3)
@@ -150,9 +151,10 @@ class Coin:
     def is_real(self) -> bool:
         return bool(np.abs(self.entries.imag).max() < 1e-12)
 
-    @property
+    @cached_property
     def degenerate(self) -> bool:
-        """True at the theta = +-pi endpoints of the named families."""
+        """True at the theta = +-pi endpoints of the named families,
+        computed once per coin."""
         return (self.family in COIN_FAMILIES and self.theta is not None
                 and math.isclose(abs(self.theta), math.pi, rel_tol=0, abs_tol=1e-12))
 

@@ -282,3 +282,90 @@ def test_step_leaves_input_unmodified(N):
     assert not np.shares_memory(out.amps, s.amps)
     out.amps[...] = 0
     assert np.array_equal(s.amps, before)
+
+
+# the slice step that the small-lattice gather replaced, kept as its exact oracle
+def _slice_step(amps: np.ndarray, C: np.ndarray) -> np.ndarray:
+    N = amps.shape[1]
+    mixed = (C @ amps.reshape(4, N * N)).reshape(4, N, N)
+    out = np.empty_like(mixed)
+    out[0, 1:] = mixed[0, :-1]
+    out[0, 0] = mixed[0, -1]
+    out[1, :-1] = mixed[1, 1:]
+    out[1, -1] = mixed[1, 0]
+    out[2, :, 1:] = mixed[2, :, :-1]
+    out[2, :, 0] = mixed[2, :, -1]
+    out[3, :, :-1] = mixed[3, :, 1:]
+    out[3, :, -1] = mixed[3, :, 0]
+    return out
+
+
+SWITCH_NS = (3, 5, 41, 63, 65, 101)
+
+
+def test_switch_sizes_cover_both_shift_paths():
+    import coinwalk.walk as walk_mod
+    assert min(SWITCH_NS) <= walk_mod._GATHER_MAX_N < max(SWITCH_NS)
+
+
+@pytest.mark.parametrize("N", SWITCH_NS)
+@pytest.mark.parametrize("real", [True, False])
+def test_step_equals_slice_step_bit_for_bit(N, real):
+    rng = np.random.default_rng([N, real])
+    C = _haar(rng, real)
+    coin = Coin(C)
+    for s in (_random_state(rng, N), initial_state(N, "D")):
+        want = s.amps
+        for _ in range(4):
+            want = _slice_step(want, coin.entries)
+            s = step(s, coin)
+            assert s.amps.shape == (4, N, N)
+            assert np.array_equal(s.amps, want)
+        # a bare array takes the same route
+        assert np.array_equal(step(s, C).amps, _slice_step(s.amps, coin.entries))
+
+
+@pytest.mark.parametrize("N", [3, 5, 65])
+def test_probability_at_equals_numpy_formula_bit_for_bit(N):
+    rng = np.random.default_rng(N)
+    half = (N - 1) // 2
+    for _ in range(3):
+        s = _random_state(rng, N)
+        for x in range(-half, half + 1):
+            for y in range(-half, half + 1):
+                v = s.amps[:, x + half, y + half]
+                assert probability_at(s, x, y) == float(np.abs(v ** 2).sum().real)
+
+
+def test_probability_at_rejects_outside_vertices():
+    s = initial_state(5, "R")
+    for x, y in [(3, 0), (0, -3), (-3, 3)]:
+        with pytest.raises(ValueError, match="outside the centered lattice of side 5"):
+            probability_at(s, x, y)
+
+
+@pytest.mark.parametrize("N", [5, 65])
+def test_step_and_probability_call_no_public_walk_function(monkeypatch, N):
+    # the traced benchmark wraps every public coinwalk.walk function, so a
+    # nested call would add a child span to every step
+    import inspect
+
+    import coinwalk.walk as walk_mod
+    the_step, the_probability = walk_mod.step, walk_mod.probability_at
+    calls = []
+    for name, fn in list(vars(walk_mod).items()):
+        if (inspect.isfunction(fn) and fn.__module__ == walk_mod.__name__
+                and not name.startswith("_")):
+            monkeypatch.setattr(walk_mod, name,
+                                lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    s = _random_state(np.random.default_rng(N), N)
+    coin = coin_from_theta("p34x1", 0.9)
+    the_probability(the_step(s, coin), 1, -1)
+    the_probability(the_step(s, coin.entries), 0, 0)
+    assert calls == []
+
+
+def test_step_caches_both_coin_verdicts():
+    coin = coin_from_theta("x3", 0.2)
+    step(initial_state(3, "R"), coin)
+    assert {"degenerate", "unitary"} <= vars(coin).keys()
