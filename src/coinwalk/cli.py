@@ -130,7 +130,7 @@ def cmd_space(args) -> int:
         return EXIT_OK
     # c-family
     M = matspace.theorem217_family(args.variant, args.c2, args.branch)
-    corner, offblock = matspace._h_split(M)
+    corner, offblock = matspace.hadamard_split(M)
     obj = {
         "variant": args.variant,
         "c2": args.c2,
@@ -161,17 +161,17 @@ def cmd_walk(args) -> int:
         obj = {"family": args.family, "theta": args.theta, "N": args.N, "rows": rows}
         _emit(args, obj, header, rows)
         return EXIT_OK
-    # simulate: reject what the walk does not cover before any output
+    # simulate: reject what the walk does not cover before any output;
+    # evolve checks the coin even at t = 0
     if args.dump_state and args.format != "json":
         raise ValueError("--dump-state needs --format json")
-    walk._walk_coin(coin)
+    state = walk.evolve(walk.initial_state(args.N, args.S), coin, 0)
     if args.T < 1:
         raise ValueError("T must be >= 1")
     try:
         x, y = (int(v) for v in args.at.split(","))
     except ValueError:
         raise ValueError(f"--at expects two integers x,y, got {args.at!r}") from None
-    state = walk.initial_state(args.N, args.S)
     rows = []
     acc = 0.0
     for t in range(args.T + 1):

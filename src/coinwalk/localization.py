@@ -15,17 +15,13 @@ computed, and pbar_matrix is 2 I^2. Theorem 3.6's diagonal 1/8 for the
 generalized Grover families reads I_aa = 1/4.
 
 At lambda = -1 every family's eigenvector factors into pure-x and pure-y
-terms, px * qy, the closed-form factors the finite-N eigensystem uses. The
-y factor is qy(y) = c(y) (Q0 + Q1 e^{iy}) with one complex scalar c(y)
-common to the four entries and real 4-vectors Q0, Q1; c cancels from the
-integrand. spectral._FLAT_Y_ENDS tabulates P+- = Q0 +- Q1, the factor's ends
-at y = 0 and y = pi, with t = sin(theta/2) and u = cos(theta/2):
-
-    family  P+                         P-
-    p24y1   [u+t, u+t, 1, -1]          [u-t, u-t, 1, 1]
-    p34x1   [u+t, u+t, 1, 1]           [u-t, t-u, 1, -1]
-    p23z1   p24y1's, rows [0, 1, 3, 2] p24y1's, rows [0, 1, 3, 2]
-    x3      [-2 tan(theta/2), same, 1, -1]  [0, 0, 1, 1]
+terms, px * qy, the closed-form factors spectral._FACTORS gives the finite-N
+eigensystem. The y factor is qy(y) = c(y) (Q0 + Q1 e^{iy}) with one complex
+scalar c(y) common to the four entries and real 4-vectors Q0, Q1; c cancels
+from the integrand. Its ends P+- = Q0 +- Q1 at y = 0 and y = pi are read
+off the same factor as qy / qy[2]: entry 2 of P+- is +-1 in every family,
+so this is P+- up to a sign per end, and the integrand reads P+- only
+through the products P+-_a P+-_b.
 
 The integrand is then a ratio of two linear functions of cos y, and its
 midpoint sum over y has a closed form by the aliasing identity of the
@@ -40,34 +36,19 @@ order, on the calling thread.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coins import COIN_FAMILIES
-from .spectral import _FACTORS, _FLAT_Y_ENDS
-from .walk import CHIRALITIES, chirality_index
+from .spectral import _FACTORS
+from .walk import CHIRALITIES, _check_count, chirality_index
 
 __all__ = [
     "QuadratureSpec", "theta_grid",
     "pbar_matrix", "pbar_infinity_pair", "pbar_infinity_total",
     "sweep_theta", "theorem36_check", "convergence_delta",
 ]
-
-
-def _check_count(value, least: int, what: str) -> int:
-    """value as an int of at least `least`. Integer types, numpy's too, pass;
-    bool, float (even 512.0 or NaN) and the rest raise ValueError."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if n < least:
-        raise ValueError(f"need at least {least} {what}, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -103,8 +84,10 @@ def _integrals(family: str, theta: float, M: int) -> np.ndarray:
     The class sum runs over the momentum-sign variants ex, ey in {e, conj e}.
     px depends on x alone, qy on y alone, and both have real coefficients, so
     the four variants sum to 4 Re(ux) Re(uy) / W with ux, uy the pair products
-    of px, qy and W = |px|^2 . |qy|^2. On the y axis, qy = c(y) (Q0 + Q1 e^{iy})
-    (spectral._FLAT_Y_ENDS), and c cancels from uy / W. With P+- = Q0 +- Q1,
+    of px, qy and W = |px|^2 . |qy|^2. On the y axis, qy = c(y) (Q0 + Q1 e^{iy}),
+    and c cancels from uy / W. P+- = Q0 +- Q1, up to a sign per end that
+    drops out of every product below, is qy / qy[2] at y = 0 and pi, from the
+    same _FACTORS call as px. With
     W / |c|^2 = A + B cos y with A +- B = |px|^2 . (P+-)^2, and
     Re(uy_ab) / |c|^2 = gamma + delta cos y with gamma +- delta = P+-_a P+-_b.
     The midpoint sum over y_j = (j + 1/2) pi / M then has a closed form:
@@ -122,9 +105,9 @@ def _integrals(family: str, theta: float, M: int) -> np.ndarray:
     1 - r = (A + B + D) / (A + D). log |r| = log1p(-(min(A +- B) + D) / (A + D))
     gives the powers of r, and expm1 gives 1 - |r|^(2M-1) where r > 0."""
     e = np.exp(1j * QuadratureSpec(M).nodes())
-    px = _FACTORS[family](theta, -1.0, e, e[:1])[0]             # qy is not used
+    px, qy = _FACTORS[family](theta, -1.0, e, np.array([1.0, -1.0]))
     R = np.concatenate([px.real, px.imag])                      # (8, M)
-    P = _FLAT_Y_ENDS[family](theta)                             # (2, 4): P+, P-
+    P = (qy / qy[2]).real.T                                     # (2, 4): P+, P-
     Ap, Am = P**2 @ (R[:4] ** 2 + R[4:] ** 2)                   # A + B, A - B
     D = np.sqrt(Ap) * np.sqrt(Am)
     AD = (Ap + Am) / 2 + D

@@ -20,7 +20,7 @@ __all__ = [
     "NotInLError", "subspace_membership", "L_SPACES",
     "h_orthogonal", "six_class_partition",
     "quadrangular", "strongly_quadrangular",
-    "hadamard_matrix", "hadamard_row_sum_check",
+    "hadamard_matrix", "hadamard_split", "hadamard_row_sum_check",
     "theorem217_family", "theorem217_block",
     "two_permutation_check", "sample_orthogonal_in_span",
     "direct_sum_components", "is_perm_equivalent_direct_sum",
@@ -182,7 +182,7 @@ def hadamard_matrix() -> np.ndarray:
 _H = hadamard_matrix()
 
 
-def _h_split(A) -> tuple[float, float]:
+def hadamard_split(A) -> tuple[float, float]:
     """The (1,1) entry of H^T A H and the largest |entry| in the rest of its
     first row and column: +-1 and 0 for orthogonal members of the span."""
     B = _H.T @ _as_real(A) @ _H
@@ -192,7 +192,7 @@ def _h_split(A) -> tuple[float, float]:
 def hadamard_row_sum_check(A, tol: float = 1e-9) -> int:
     """Sign of the constant row/column sum of an orthogonal member of the
     permutation span, read off the (1,1) entry of H^T A H."""
-    corner, offblock = _h_split(A)
+    corner, offblock = hadamard_split(A)
     if abs(abs(corner) - 1) > tol or offblock > tol:
         raise ValueError("matrix is not an orthogonal member of the permutation span")
     return 1 if corner > 0 else -1

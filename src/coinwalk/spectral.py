@@ -7,9 +7,9 @@ coin families the eigenpairs have closed forms, ordered k = 1..4 as
 is a product px * qy, with px a function of w^n alone and qy of w^m alone:
 at every eigenvalue for p34x1, p24y1 and p23z1, and at lambda = +-1 for x3,
 whose dispersive pair k = 3, 4 does not separate. _FACTORS holds the one
-formula per family; localization integrates the same lambda = -1 x factor,
-with _FLAT_Y_ENDS giving the y factor's ends in closed form, and the k = 1, 2
-vectors here are outer products of factors computed on the N momenta. One
+formula per family; localization evaluates the same lambda = -1 factors,
+px on its x nodes and qy at the y ends 0 and pi, and the k = 1, 2 vectors
+here are outer products of factors computed on the N momenta. One
 batched dense eigensolve, _dense_eig, serves every other block: a family
 block whose formula denominator degenerates or whose eigenvalues collide is
 matched onto its closed-form eigenvalues, and every block of a raw coin is
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coins import Coin, COIN_FAMILIES, coin_from_theta
-from .walk import CHIRALITIES, WalkState, _check_lattice, _walk_coin, chirality_index
+from .walk import CHIRALITIES, WalkState, _check_lattice, _index, _walk_coin, chirality_index
 
 __all__ = [
     "SpectralBlock", "DegeneracyClass",
@@ -116,35 +116,6 @@ def _factors_x3(theta: float, lam, wn, wm):
 # (theta, lam, wn, wm) -> (px, qy); the eigenvector is px * qy
 _FACTORS = {"p24y1": _factors_y1, "p34x1": _factors_x1,
             "p23z1": _factors_z1, "x3": _factors_x3}
-
-
-def _u_plus_minus_t(theta: float) -> np.ndarray:
-    """cos(theta/2) +- sin(theta/2), written as sines so that neither
-    cancels near theta = -+pi/2."""
-    return np.sqrt(2) * np.sin(np.pi / 4 + np.array([theta, -theta]) / 2)
-
-
-def _ends_y1(theta: float) -> np.ndarray:
-    p, d = _u_plus_minus_t(theta)
-    return np.array([[p, p, 1.0, -1.0], [d, d, 1.0, 1.0]])
-
-
-def _ends_x1(theta: float) -> np.ndarray:
-    p, d = _u_plus_minus_t(theta)
-    return np.array([[p, p, 1.0, 1.0], [d, -d, 1.0, -1.0]])
-
-
-def _ends_x3(theta: float) -> np.ndarray:
-    g = -2 * np.tan(theta / 2)
-    return np.array([[g, g, 1.0, -1.0], [0.0, 0.0, 1.0, 1.0]])
-
-
-# theta -> [P+, P-], (2, 4). At lam = -1 each family's qy(y) is
-# c(y) (Q0 + Q1 e^{iy}) with one complex scalar c(y) and real 4-vectors Q0,
-# Q1; P+- = Q0 +- Q1 are its ends at y = 0 and y = pi, up to c
-_FLAT_Y_ENDS = {"p24y1": _ends_y1, "p34x1": _ends_x1,
-                "p23z1": lambda theta: _ends_y1(theta)[:, [0, 1, 3, 2]],
-                "x3": _ends_x3}
 
 
 def _vec_x3(theta: float, lam, a, b):
@@ -311,7 +282,9 @@ def omega_class(n: int, m: int, N: int, symmetric: bool = True) -> DegeneracyCla
     Block spectra depend on the momentum cosines only, so each index folds as
     q -> N - q; symmetric=True also folds n <-> m (the generalized Grover
     families, whose spectra are symmetric in the two momenta), while
-    symmetric=False keeps the axes separate (the x3 family)."""
+    symmetric=False keeps the axes separate (the x3 family). N is a lattice
+    side the walk takes."""
+    N = _check_lattice(N)
     half = (N - 1) // 2
     if not (0 <= n <= half and 0 <= m <= half):
         raise ValueError("representative must satisfy 0 <= n, m <= (N-1)/2")
@@ -426,8 +399,8 @@ def _plane_waves(N: int) -> np.ndarray:
 def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
     """Spectral reconstruction of the state after t steps from the canonical
     initial state |S> at the origin. t must be an integer >= 0, as for
-    walk.evolve; numpy integers pass."""
-    if not isinstance(t, (int, np.integer)) or t < 0:
+    walk.evolve; numpy integers pass, bool and float raise ValueError."""
+    if _index(t) is None or t < 0:
         raise ValueError(f"t must be an integer >= 0, got {t!r}")
     lams, vecs, _, _ = coin_eigensystem(coin, N)
     b = chirality_index(S) - 1

@@ -16,6 +16,7 @@ Coin, so checking a Coin on every step costs two attribute reads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,11 +42,32 @@ def chirality_index(S: str) -> int:
         raise ValueError(f"chirality must be one of {CHIRALITIES}, got {S!r}") from None
 
 
+def _index(value) -> int | None:
+    """value as an int if it is an integer: Python's and numpy's integer
+    types pass; bool, float (even 5.0 or NaN) and the rest give None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_count(value, least: int, what: str) -> int:
+    """value as an int of at least `least`; ValueError unless _index takes it."""
+    n = _index(value)
+    if n is None:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
 def _check_lattice(N: int) -> int:
-    N = int(N)
-    if N < 3 or N % 2 == 0:
+    n = _index(N)
+    if n is None or n < 3 or n % 2 == 0:
         raise ValueError(f"lattice side must be odd and >= 3, got {N}")
-    return N
+    return n
 
 
 def _check_coords(x: int, y: int, N: int):
@@ -171,9 +193,9 @@ def step(state: WalkState, C) -> WalkState:
 
 def evolve(state: WalkState, C, t: int) -> WalkState:
     """The state after t steps. The coin is checked once, before any step,
-    so a rejected coin raises even at t = 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    so a rejected coin raises even at t = 0. t must be an integer; numpy
+    integers pass, bool and float raise ValueError."""
+    t = _check_count(t, 0, "t")
     C = _walk_coin(C)
     for _ in range(t):
         state = step(state, C)
@@ -202,9 +224,9 @@ def time_averaged_probability(C, N: int, S: str, x: int, y: int, T: int) -> floa
 def time_averaged_chirality_profile(C, N: int, S: str, T: int,
                                     x: int = 0, y: int = 0) -> np.ndarray:
     """Per-chirality time-averaged probabilities at a vertex, (4,) array
-    ordered R, L, U, D. Raises ValueError for T < 1 and for a rejected coin."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    ordered R, L, U, D. Raises ValueError for T < 1, a T that is not an
+    integer and a rejected coin."""
+    T = _check_count(T, 1, "T")
     C = _walk_coin(C)
     state = initial_state(N, S)
     _check_coords(x, y, N)

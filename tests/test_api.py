@@ -38,7 +38,7 @@ def test_matspace_public_names_frozen():
         "NotInLError", "subspace_membership", "L_SPACES",
         "h_orthogonal", "six_class_partition",
         "quadrangular", "strongly_quadrangular",
-        "hadamard_matrix", "hadamard_row_sum_check",
+        "hadamard_matrix", "hadamard_split", "hadamard_row_sum_check",
         "theorem217_family", "theorem217_block",
         "two_permutation_check", "sample_orthogonal_in_span",
         "direct_sum_components", "is_perm_equivalent_direct_sum",
@@ -114,6 +114,7 @@ PARAMETERS = {
         "quadrangular": ["M"],
         "strongly_quadrangular": ["M"],
         "hadamard_matrix": [],
+        "hadamard_split": ["A"],
         "hadamard_row_sum_check": ["A", "tol"],
         "theorem217_family": ["variant", "c2", "branch"],
         "theorem217_block": ["variant", "c2", "branch"],

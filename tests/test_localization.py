@@ -15,7 +15,7 @@ from coinwalk.localization import (
     theta_grid,
     _integrals,
 )
-from coinwalk.spectral import _FACTORS, _FLAT_Y_ENDS, finite_N_pbar_matrix
+from coinwalk.spectral import _FACTORS, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
 
 from c_table_oracle import c_table_p24y1
@@ -213,16 +213,19 @@ def test_integrals_match_extended_precision_sum(family, theta, M):
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 @pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, -3.1, 0.0, 1.5707, -1.5707, 1e-6])
 def test_flat_y_ends_match_factors(family, theta):
-    # the closed-form y sum's table against the lambda = -1 factors: at
-    # seeded (x, y), Re(qy_a conj qy_b) / W = (gamma + delta cos y) /
-    # (A + B cos y) with gamma +- delta = P+-_a P+-_b, A +- B = |px|^2 . (P+-)^2.
-    # y stays 0.1 from the ends, where e^{iy} -+ 1 cancels in the factors
+    # the premise of the closed-form y sum, qy = c(y) (Q0 + Q1 e^{iy}): the
+    # ends P+- that _integrals reads off the lambda = -1 factor at y = 0, pi
+    # against that factor at seeded (x, y), Re(qy_a conj qy_b) / W =
+    # (gamma + delta cos y) / (A + B cos y) with gamma +- delta = P+-_a P+-_b,
+    # A +- B = |px|^2 . (P+-)^2. y stays 0.1 from the ends, where e^{iy} -+ 1
+    # cancels in the factors
     rng = np.random.default_rng(16)
     x, y = rng.uniform(0.1, np.pi - 0.1, (2, 50))
     px, qy = _FACTORS[family](theta, -1.0, np.exp(1j * x), np.exp(1j * y))
     W = np.einsum("im,im->m", np.abs(px) ** 2, np.abs(qy) ** 2)
     uy = (qy[:, None] * np.conj(qy[None, :])).real
-    P = _FLAT_Y_ENDS[family](theta)
+    ends = _FACTORS[family](theta, -1.0, np.exp(1j * x), np.array([1.0, -1.0]))[1]
+    P = (ends / ends[2]).real.T
     half = np.stack([np.cos(y / 2) ** 2, np.sin(y / 2) ** 2])   # (1 +- cos y) / 2
     W_ends = ((P**2 @ np.abs(px) ** 2) * half).sum(axis=0)
     uy_ends = np.einsum("ka,kb,km->abm", P, P, half)
@@ -235,8 +238,10 @@ def test_flat_y_ends_match_factors(family, theta):
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_pbar_matrix_finite_next_to_pi(family):
     # 1 + cos(theta) rounds to 0 within about 1e-8 of pi, so no factor may
-    # divide by it
-    for theta in (np.nextafter(np.pi, 0), np.pi - 1e-9):
+    # divide by it; the y ends divide by u -+ t, about 1.1e-16 at +-pi/2
+    half = np.pi / 2
+    for theta in (np.nextafter(np.pi, 0), np.pi - 1e-9,
+                  half, np.nextafter(half, 0), np.nextafter(half, np.pi), 1.5707):
         for th in (theta, -theta):
             pm = pbar_matrix(family, th, QUICK)
             assert np.isfinite(pm).all()

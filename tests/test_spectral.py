@@ -445,7 +445,7 @@ def test_spectral_takes_the_coins_the_walk_takes():
             coin_eigensystem(raw, 5)
 
 
-@pytest.mark.parametrize("N", [4, 0, 1, -3])
+@pytest.mark.parametrize("N", [4, 0, 1, -3, 5.9, 5.0, True, "5"])
 def test_spectral_rejects_lattices_the_walk_rejects(N):
     # every spectral consumer reads coin_eigensystem, which checks the side
     # before the cache lookup, on both the closed-form and the raw-coin path
@@ -790,7 +790,7 @@ def test_raw_class_members_share_the_representative_order(family, theta):
             assert abs(complex(re, im) - want) < 1e-13, (S, Sp, n, m, k)
 
 
-@pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0])
+@pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0, True])
 def test_reconstruct_state_rejects_what_evolve_rejects(t):
     with pytest.raises(ValueError, match="t must be an integer >= 0"):
         reconstruct_state(coin_from_theta("p24y1", 0.7), 5, "R", t)
@@ -801,3 +801,10 @@ def test_reconstruct_state_takes_numpy_integer_t(t):
     coin = coin_from_theta("p24y1", 0.7)
     rec = reconstruct_state(coin, 5, "R", t)
     assert np.abs(rec.amps - evolve(initial_state(5, "R"), coin, int(t)).amps).max() < 1e-12
+
+
+@pytest.mark.parametrize("N", [4, 5.9, True])
+def test_omega_class_checks_the_lattice_side(N):
+    # an even side has no centred lattice, and a float one is not truncated
+    with pytest.raises(ValueError, match="lattice side must be odd and >= 3"):
+        omega_class(1, 0, N)

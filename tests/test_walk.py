@@ -369,3 +369,29 @@ def test_step_caches_both_coin_verdicts():
     coin = coin_from_theta("x3", 0.2)
     step(initial_state(3, "R"), coin)
     assert {"degenerate", "unitary"} <= vars(coin).keys()
+
+
+@pytest.mark.parametrize("N", [np.int64(5), np.uint8(5)])
+def test_lattice_side_takes_numpy_integers(N):
+    s = initial_state(N, "R")
+    assert type(s.N) is int and s.N == 5
+    assert np.array_equal(s.amps, initial_state(5, "R").amps)
+
+
+@pytest.mark.parametrize("t", [True, 2.5, 2.0, float("nan"), "2"])
+def test_evolve_rejects_non_integer_t(t):
+    # True is no step count, and 2.5 used to raise TypeError
+    with pytest.raises(ValueError, match="t must be an integer"):
+        evolve(initial_state(5, "R"), grover_coin(), t)
+
+
+@pytest.mark.parametrize("t", [np.int64(3), np.uint8(3)])
+def test_evolve_takes_numpy_integer_t(t):
+    s = initial_state(5, "R")
+    assert np.array_equal(evolve(s, grover_coin(), t).amps, evolve(s, grover_coin(), 3).amps)
+
+
+@pytest.mark.parametrize("T", [True, 2.5, 3.0])
+def test_chirality_profile_rejects_non_integer_T(T):
+    with pytest.raises(ValueError, match="T must be an integer"):
+        time_averaged_chirality_profile(grover_coin(), 5, "R", T)
