@@ -17,6 +17,11 @@ from . import coins, localization, matspace, spectral, walk
 from .io import dump_json, open_out, read_matrix_text
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC = 0, 2, 3
+# --check-convergence flags a halving change above this. At the default
+# M = 512 the change stayed below it on a 400-point theta grid and at
+# |theta| from 1e-12 to 1e-5 (at most 9.6e-11, x3 near theta = 2.5e-8), and
+# from M = 256 on it bounds the error on the accuracy grid of the tests
+_CONVERGED_DELTA = 1e-10
 
 
 def _read_matrix(args) -> np.ndarray:
@@ -218,7 +223,7 @@ def cmd_localize(args) -> int:
     flagged = False
     if args.check_convergence:
         delta = localization.convergence_delta(args.family, args.theta, quad)
-        flagged = not delta <= 1e-4    # a NaN delta is not converged
+        flagged = not delta <= _CONVERGED_DELTA    # a NaN delta is not converged
     obj.update(quad_M=quad.M, value=val, converged=not flagged)
     _emit_fields(args, obj)
     return EXIT_NUMERIC if flagged else EXIT_OK

@@ -262,8 +262,9 @@ class SpectralBlock:
 
 def build_block(coin, n: int, m: int, N: int) -> SpectralBlock:
     """Fourier block D_{n,m} C with eigenpairs attached."""
-    if not (0 <= n < N and 0 <= m < N):
-        raise ValueError("quantum numbers must lie in 0..N-1")
+    n, m = _index(n), _index(m)
+    if n is None or m is None or not (0 <= n < N and 0 <= m < N):
+        raise ValueError("quantum numbers must be integers in 0..N-1")
     lams, vecs, fb, U = coin_eigensystem(coin, N)
     return SpectralBlock(n, m, N, U[n, m], lams[n, m], vecs[n, m], bool(fb[n, m]))
 
@@ -286,8 +287,9 @@ def omega_class(n: int, m: int, N: int, symmetric: bool = True) -> DegeneracyCla
     side the walk takes."""
     N = _check_lattice(N)
     half = (N - 1) // 2
-    if not (0 <= n <= half and 0 <= m <= half):
-        raise ValueError("representative must satisfy 0 <= n, m <= (N-1)/2")
+    n, m = _index(n), _index(m)
+    if n is None or m is None or not (0 <= n <= half and 0 <= m <= half):
+        raise ValueError("representative must be integers 0 <= n, m <= (N-1)/2")
     if (n, m) == (0, 0):
         return DegeneracyClass((0, 0), ((0, 0),))
 
@@ -306,14 +308,26 @@ def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) ->
 
         sum over (n', m') in the class of v_{l(S')} conj(v_{l(S)})
 
-    with unit eigenvectors, so the norm factors are already absorbed."""
+    with unit eigenvectors, so the norm factors are already absorbed.
+    ValueError if a member's block spectrum is not the representative's."""
+    k = _index(k)
     if k not in (1, 2, 3, 4):
-        raise ValueError("k must be in 1..4")
+        raise ValueError("k must be an integer in 1..4")
     lams, vecs, _, _ = coin_eigensystem(coin, N)
     cls = omega_class(n, m, N, symmetric=_symmetric(coin, lams))
     ns, ms = zip(*cls.members)
+    _check_class_spectra(lams[ns, ms], lams[cls.representative])
     sums = _group_sums(vecs[ns, ms, k - 1], np.zeros(len(ns), dtype=int), 1)
     return complex(sums[0, chirality_index(S_prime) - 1, chirality_index(S) - 1])
+
+
+def _check_class_spectra(member_lams: np.ndarray, rep_lams: np.ndarray) -> None:
+    """ValueError unless each class member lists its representative's
+    eigenvalues, k by k, within _DEGEN_TOL: a class sum adds the k-th
+    vectors of its members. A raw coin whose momentum orbits do not keep
+    the block spectrum fails this."""
+    if (np.abs(member_lams - rep_lams) > _DEGEN_TOL).any():
+        raise ValueError("a degeneracy class mixes blocks of different spectra")
 
 
 def _symmetric(coin, lams: np.ndarray) -> bool:
@@ -421,7 +435,8 @@ def spectrum_rows(coin, N: int):
 
 def coefficient_rows(coin, N: int):
     """Iterate (S, S', n, m, k, Re c, Im c) over degeneracy-class
-    representatives for the origin-localized initial states."""
+    representatives for the origin-localized initial states. ValueError if
+    a member's block spectrum is not its representative's."""
     lams, vecs, _, _ = coin_eigensystem(coin, N)
     symmetric = _symmetric(coin, lams)
     half = (N - 1) // 2
@@ -430,6 +445,8 @@ def coefficient_rows(coin, N: int):
                if symmetric is False or n <= m]
     ns, ms = zip(*(nm for cls in classes for nm in cls.members))
     labels = np.repeat(np.arange(len(classes)), [len(cls.members) for cls in classes])
+    reps = np.array([cls.representative for cls in classes])[labels]
+    _check_class_spectra(lams[ns, ms], lams[reps[:, 0], reps[:, 1]])
     sums = _group_sums(vecs[ns, ms], labels, len(classes))     # [class, k, a, b]
     for b, S in enumerate(CHIRALITIES):
         for a, Sp in enumerate(CHIRALITIES):

@@ -317,18 +317,38 @@ def test_help_examples_run(capsys):
 
 
 def test_localize_pair_convergence_flag_exit_3(capsys):
-    # a coarse rule near the theta endpoint genuinely fails the doubling
-    # check and must exit with the numerical flag, still emitting output
-    code, out = run(capsys, "localize", "pair", "--family", "x3", "--theta", "3.1",
+    # a coarse rule next to x3's theta = 0 genuinely fails the halving check
+    # (delta 7.2e-5 at M = 32) and must exit with the numerical flag, still
+    # emitting output
+    code, out = run(capsys, "localize", "pair", "--family", "x3", "--theta", "0.01",
                     "--S", "U", "--Sprime", "U", "--quad-M", "32",
                     "--check-convergence")
     assert code == 3
     obj = json.loads(out)
     assert obj["converged"] is False
-    code, out = run(capsys, "localize", "pair", "--family", "x3", "--theta", "3.1",
+    code, out = run(capsys, "localize", "pair", "--family", "x3", "--theta", "0.01",
                     "--S", "U", "--Sprime", "U", "--quad-M", "512",
                     "--check-convergence")
     assert code == 0
+
+
+def test_localize_x3_near_zero_converged_value(capsys):
+    # the midpoint rule was 2.0e-4 off here (0.49987978916723397) and still
+    # reported converged; the default rule is within 1e-12
+    code, out = run(capsys, "localize", "total", "--family", "x3", "--theta", "0.001",
+                    "--S", "U", "--check-convergence")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["converged"] is True
+    assert abs(obj["value"] - 0.4996818088503317) < 1e-12
+
+
+def test_localize_check_convergence_needs_quad_M_32(capsys):
+    # at M = 16 the halving check would compare the rule with itself
+    code = main(["localize", "total", "--family", "x3", "--theta", "3.1", "--S", "R",
+                 "--quad-M", "16", "--check-convergence"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("action", ["pair", "total"])

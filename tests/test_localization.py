@@ -23,6 +23,17 @@ from c_table_oracle import c_table_p24y1
 QUICK = QuadratureSpec(64)
 EPS = np.finfo(float).eps
 GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")
+NY = 512     # y nodes of the 2-D oracle sums
+
+
+def _sin4_rule(M, dtype=float):
+    """Sidi's sin^4 rule on [0, pi] as the oracles write it: nodes
+    phi(s_j) = (8/3)(3 s_j / 8 - sin 2s_j / 4 + sin 4s_j / 32) and weights
+    phi'(s_j) = (8/3) sin^4 s_j at s_j = (j + 1/2) pi / M, so that the
+    integral of f is (pi / M) sum_j w_j f(x_j)."""
+    s = (np.arange(M, dtype=dtype) + dtype(0.5)) * (4 * np.arctan(dtype(1))) / M
+    x = 8 * (3 * s / 8 - np.sin(2 * s) / 4 + np.sin(4 * s) / 32) / 3
+    return x, 8 * np.sin(s) ** 4 / 3
 
 
 def test_quadrature_spec_validation():
@@ -63,7 +74,7 @@ def test_theta_grid_open_interval():
 @pytest.mark.parametrize("theta", [-2.5, -math.pi / 2, 0.4, 1.0])
 def test_diagonal_is_exactly_one_eighth(family, theta):
     # the class-summed diagonal integrand is the constant 2, so even a
-    # coarse midpoint rule hits 1/8 to machine precision
+    # coarse rule hits 1/8 to machine precision
     pm = pbar_matrix(family, theta, QUICK)
     assert np.abs(np.diag(pm) - 0.125).max() < 1e-12
 
@@ -117,38 +128,40 @@ def test_x3_theta_zero_values():
 
 
 def test_p24y1_kernel_matches_c_table_sums():
-    # the p24y1 integral against midpoint sums of the closed-form class-sum
-    # table of both flat branches, normalized by 1/(8 pi^2) for the
-    # symmetrized sum
+    # the p24y1 integral against weighted 2-D sums of the closed-form
+    # class-sum table of both flat branches, normalized by 1/(8 pi^2) for
+    # the symmetrized sum: x on the kernel's nodes, y on NY nodes
     M = 96
-    xs = QuadratureSpec(M).nodes()
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    X, Y = np.meshgrid(QuadratureSpec(M).nodes(), _sin4_rule(NY)[0], indexing="ij")
+    w = np.outer(_sin4_rule(M)[1], _sin4_rule(NY)[1])
     for theta in (0.8, -1.3):
         got = _integrals("p24y1", theta, M)
         for k in (1, 2):
-            want = np.array([[c_table_p24y1(a, b, k, theta, X, Y).sum() / (8 * M * M)
+            want = np.array([[(w * c_table_p24y1(a, b, k, theta, X, Y)).sum() / (8 * M * NY)
                               for b in (1, 2, 3, 4)] for a in (1, 2, 3, 4)])
             assert np.abs(got - want).max() < 1e-10
 
 
 def _integrals_matvec(family, theta, M, k):
     """Direct form of the quadrature: each of the four momentum-sign
-    variants and each of the 16 pairs as its own bilinear form u_x^T K u_y,
-    with the kernel K built from branch k's own factors."""
-    xs = QuadratureSpec(M).nodes()
+    variants and each of the 16 pairs as its own weighted bilinear form
+    u_x^T K u_y, with the kernel K built from branch k's own factors, x on
+    the kernel's M nodes and y summed on NY nodes, not in closed form."""
+    xs, wx = QuadratureSpec(M).nodes(), _sin4_rule(M)[1]
+    ys, wy = _sin4_rule(NY)
     lam = -1.0 if k == 1 else 1.0
-    e_pos = np.exp(1j * xs)
+    e_x, e_y = np.exp(1j * xs), np.exp(1j * ys)
     out = np.zeros((4, 4), dtype=complex)
-    for ex in (e_pos, np.conj(e_pos)):
-        for ey in (e_pos, np.conj(e_pos)):
+    for ex in (e_x, np.conj(e_x)):
+        for ey in (e_y, np.conj(e_y)):
             px, qy = _FACTORS[family](theta, lam, ex, ey)
-            K = 1.0 / np.einsum("im,in->mn", np.abs(px) ** 2, np.abs(qy) ** 2)
+            K = wx[:, None] * wy / np.einsum("im,in->mn", np.abs(px) ** 2, np.abs(qy) ** 2)
             for a in range(4):
                 for b in range(4):
                     ux = px[a] * np.conj(px[b])
                     uy = qy[a] * np.conj(qy[b])
                     out[a, b] += ux @ K @ uy
-    return out / (4 * M * M)
+    return out / (4 * M * NY)
 
 
 # The one computed integral against both branches of the direct form: this
@@ -185,16 +198,15 @@ def test_kernel_odd_M_matches_matvec_quadrature(family, theta):
 
 
 def _integrals_longdouble(family, theta, M):
-    """The lambda = -1 integral as a direct 2-D midpoint sum in extended
-    precision, nodes and factors included."""
+    """The lambda = -1 integral as a direct 2-D weighted sum in extended
+    precision, nodes, weights and factors included: M nodes on x, NY on y."""
     ld = np.longdouble
-    xs = (np.arange(M, dtype=ld) + ld(0.5)) * (4 * np.arctan(ld(1))) / M
-    e = np.exp(1j * xs)
-    px, qy = _FACTORS[family](ld(theta), ld(-1), e, e)
-    K = 1 / np.einsum("im,in->mn", np.abs(px) ** 2, np.abs(qy) ** 2)
+    (xs, wx), (ys, wy) = _sin4_rule(M, ld), _sin4_rule(NY, ld)
+    px, qy = _FACTORS[family](ld(theta), ld(-1), np.exp(1j * xs), np.exp(1j * ys))
+    K = wx[:, None] * wy / np.einsum("im,in->mn", np.abs(px) ** 2, np.abs(qy) ** 2)
     ux = (px[:, None] * np.conj(px[None, :])).real            # (4, 4, M)
     uy = (qy[:, None] * np.conj(qy[None, :])).real
-    return np.einsum("abm,mn,abn->ab", ux, K, uy) / (M * M)
+    return np.einsum("abm,mn,abn->ab", ux, K, uy) / (M * NY)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -251,17 +263,18 @@ def test_pbar_matrix_finite_next_to_pi(family):
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 @pytest.mark.parametrize("theta", [0.7, -2.0, 3.1, 1.5707, -1.5707])
 def test_branch_reflection(family, theta):
-    # the reflection behind I_2 = I_1: the lambda = +1 weights at
-    # node M-1-i (pi - x_i) are the lambda = -1 weights at x_i. The nodes are
-    # mirror-symmetric to rounding, and next to the edges e^{ix} -+ 1 cancels,
-    # which turns that rounding into a relative error that grows like M eps
-    # (at most 1.5 M eps for M from 16 to 2049)
+    # the reflection behind I_2 = I_1: the nodes are mirror-symmetric to
+    # rounding, and the lambda = +1 weights at pi - x_i are the lambda = -1
+    # weights at x_i. They are compared at e^{i(pi - x)} = -conj(e^{ix}),
+    # which is exact: the mapped nodes come within about 5e-9 of the edges
+    # at M = 64, where e^{ix} -+ 1 cancels and turns the rounding of node
+    # M-1-i against pi - x_i into relative errors far above rounding
     for M in (64, 65):
         xs = QuadratureSpec(M).nodes()
         assert np.abs(xs[::-1] - (np.pi - xs)).max() < 1e-15
         e = np.exp(1j * xs)
         px_m, qy_m = _FACTORS[family](theta, -1.0, e, e)
-        px_p, qy_p = _FACTORS[family](theta, 1.0, e[::-1], e[::-1])
+        px_p, qy_p = _FACTORS[family](theta, 1.0, -np.conj(e), -np.conj(e))
         for plus, minus in ((px_p, px_m), (qy_p, qy_m)):
             want = np.abs(minus) ** 2
             assert (np.abs(np.abs(plus) ** 2 - want) <= 4 * M * EPS * want).all()
@@ -283,6 +296,31 @@ def test_p34x1_totals_equal_across_chirality():
 def test_convergence_delta_small():
     for family in COIN_FAMILIES:
         assert convergence_delta(family, 1.1, QuadratureSpec(128)) < 1e-4
+
+
+ACCURACY_THETAS = (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.7, -2.0,
+                   1.5707, -1.5707, 3.1, -3.1)
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_halving_delta_bounds_the_error(family):
+    # against M = 65536, the error is at most the halving change, or a
+    # rounding floor where the rule has converged: there the change falls
+    # to 1e-20 or 0, and the reference's own sum of 65536 terms is up to
+    # 4 ulp off (x3 at theta = 1e-3 against a long-double sum)
+    for theta in ACCURACY_THETAS:
+        ref = pbar_matrix(family, theta, QuadratureSpec(65536))
+        for M in (256, 512, 2048):
+            err = np.abs(pbar_matrix(family, theta, QuadratureSpec(M)) - ref).max()
+            delta = convergence_delta(family, theta, QuadratureSpec(M))
+            assert err <= max(delta, 4 * EPS), (theta, M, err, delta)
+
+
+def test_convergence_delta_needs_two_rules():
+    # M = 16 would halve to the floor of 16 nodes and compare the rule with itself
+    with pytest.raises(ValueError, match=">= 32"):
+        convergence_delta("x3", 3.1, QuadratureSpec(16))
+    assert convergence_delta("x3", 3.1, QuadratureSpec(32)) >= 0
 
 
 def test_finite_N_converges_to_quadrature_value():

@@ -342,9 +342,12 @@ def test_factors_are_eigenvectors_off_grid(family):
     # quadrature nodes; check it at those nodes, with both momentum signs,
     # and at seeded momenta on no grid
     rng = np.random.default_rng(21)
-    x = QuadratureSpec(64).nodes()
-    zn = np.concatenate([x, -x, rng.uniform(-np.pi, np.pi, 200)])
-    zm = np.concatenate([x[::-1], x, rng.uniform(-np.pi, np.pi, 200)])
+    seeded = rng.uniform(-np.pi, np.pi, (2, 200))
+
+    def momenta(x):
+        return np.concatenate([x, -x, seeded[0]]), np.concatenate([x[::-1], x, seeded[1]])
+
+    zn, zm = momenta(QuadratureSpec(64).nodes())
     for theta in (-2.8, -0.9, 0.0, 1e-9, 0.33, 1.2, 2.6, 3.1):
         assert _factor_residuals(family, theta, zn, zm).max() < 1e-12
     for theta in (-1.571, 1.571):
@@ -352,7 +355,11 @@ def test_factors_are_eigenvectors_off_grid(family):
         assert res[:2].max() < 1e-12
         # near theta = +-pi/2 the dispersive formulas lose digits where
         # zn ~ -zm (about 5e-12 here); the eigensystem's block residual
-        # check still accepts them
+        # check still accepts them. They lose more (3.2e-9) where zn and zm
+        # also lie near an edge, as at the sin^4-mapped nodes, where
+        # localization reads lambda = -1 only; so the dispersive check
+        # keeps the midpoints (j + 1/2) pi / 64
+        res = _factor_residuals(family, theta, *momenta((np.arange(64) + 0.5) * np.pi / 64))
         assert res.max() < _RESID_TOL
 
 
@@ -788,6 +795,32 @@ def test_raw_class_members_share_the_representative_order(family, theta):
         if (n, m) in k_fam:
             want = fam[S, Sp, n, m, k_fam[n, m][k - 1]]
             assert abs(complex(re, im) - want) < 1e-13, (S, Sp, n, m, k)
+
+
+def test_raw_class_with_mixed_spectra_rejected():
+    # the bare x1 set member at theta = 0.7: 16 of its 25 orbit classes at
+    # N = 9 hold blocks whose spectra differ from the representative's, so
+    # a class sum would add vectors of different eigenvalues
+    C = set_member_from_theta("x1", 0.7)
+    with pytest.raises(ValueError, match="different spectra"):
+        list(coefficient_rows(C, 9))
+    with pytest.raises(ValueError, match="different spectra"):
+        c_coefficient(C, "R", "R", 1, 2, 1, 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: omega_class(1.5, 0, 5),
+    lambda c: omega_class(1, True, 5),
+    lambda c: build_block(c, 1.0, 0, 5),
+    lambda c: build_block(c, 1, np.float64(2), 5),
+    lambda c: c_coefficient(c, "R", "R", 1.5, 0, 1, 5),
+    lambda c: c_coefficient(c, "R", "R", 1, 0, True, 5),
+    lambda c: c_coefficient(c, "R", "R", 1, 0, 2.0, 5),
+], ids=["omega_float_n", "omega_bool_m", "block_float_n", "block_numpy_float_m",
+        "c_float_n", "c_bool_k", "c_float_k"])
+def test_quantum_numbers_must_be_integers(call):
+    with pytest.raises(ValueError, match="integer"):
+        call(coin_from_theta("p24y1", 0.7))
 
 
 @pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0, True])
