@@ -54,18 +54,16 @@ def _emit_fields(args, obj, omit=()) -> None:
 
 
 def _matrix_rows(M: np.ndarray):
-    M = np.asarray(M)
-    for i, row in enumerate(M):
-        yield [i] + [v.real if np.iscomplexobj(M) else v for v in row]
+    """CSV rows [i, entries...] of a real matrix."""
+    return [[i] + row for i, row in enumerate(M.tolist())]
 
 
 def _gen_coin(args) -> coins.Coin:
     fam = args.family.lower()
     if args.r is not None:
-        tag = fam if fam in coins.SET_TAGS else None
-        if tag is None:
+        if fam not in coins.SET_TAGS:
             raise ValueError("rational coins need a pattern-set family tag (x1..z4)")
-        return coins.coin_rational(tag, Fraction(args.r), args.z_branch)
+        return coins.coin_rational(fam, Fraction(args.r), args.z_branch)
     if args.theta is None:
         raise ValueError("coin gen needs --theta or --r")
     return coins.coin_from_theta(fam, args.theta)

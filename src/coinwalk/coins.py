@@ -36,6 +36,7 @@ written once in each direction:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -109,6 +110,29 @@ _ROW1_SIGN = np.array([[0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex)[:, :, None,
 # (ONE_PLUS_P3[0] is the identity)
 _SET_TRANSFORM = {(f, lm): 6 * i + (ONE_PLUS_P3.index(matrix_to_perm(_LEFT[f])) if lm else 0)
                   for i, f in enumerate("xyz") for lm in (False, True)}
+
+
+# the package's integer-argument rule; it lives here because every other
+# module imports coins
+def _index(value) -> int | None:
+    """value as an int if it is an integer: Python's and numpy's integer
+    types pass; bool, float (even 5.0 or NaN) and the rest give None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_count(value, least: int, what: str) -> int:
+    """value as an int of at least `least`; ValueError unless _index takes it."""
+    n = _index(value)
+    if n is None:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
+    return n
 
 
 class NotOrthogonalError(ValueError):
@@ -224,13 +248,15 @@ def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
     Parameters follow the rational parametrization of the defining variety:
     the A-block value is (r^2-1)/(2(r^2+1)) and the B-block value is
     sign*1/2 + z_branch*r/(r^2+1). All entries are Fractions; the result is
-    exactly orthogonal in Fraction arithmetic.
+    exactly orthogonal in Fraction arithmetic. z_branch is the integer 1 or
+    -1 (numpy integers pass, bool does not).
     """
     if tag not in SET_TAGS:
         raise ValueError(f"unknown set tag {tag!r}")
     r = Fraction(r)
     if r == 0:
         raise ValueError("r must be nonzero")
+    z_branch = _index(z_branch)
     if z_branch not in (1, -1):
         raise ValueError("z_branch must be +1 or -1")
     kind, sign = _J_KIND_SIGN[int(tag[1])]
@@ -460,45 +486,35 @@ def classify_batch_errors(mats: np.ndarray) -> np.ndarray:
 # group chains
 
 
+def _chain_table() -> dict[str, tuple[tuple[str, int, bool], ...]]:
+    """Chain id -> the sets (family, j, left_multiplied) forming its group,
+    in the chain theorem's order. Every chain of family f contains the base
+    group, the left-multiplied f3 set; a set repeated at j = 3 is kept once."""
+    table = {}
+    for f in "xyz":
+        base = (f, 3, True)
+        table[f"{f}-base"] = (base,)
+        for j in (1, 2, 3, 4):
+            a, b = (f, j, True), (f, j, False)
+            for variant, sets in (("a", (a,)), ("b", (b,)), ("full", (a, (f, 3, False), b))):
+                table[f"{f}{j}-{variant}"] = tuple(dict.fromkeys((base,) + sets))
+    return table
+
+
+_CHAINS = _chain_table()
+
+
 def chain_ids() -> list[str]:
     """All group identifiers from the classification's chain theorem."""
-    ids = []
-    for f in "xyz":
-        ids.append(f"{f}-base")
-        for j in (1, 2, 3, 4):
-            ids.extend([f"{f}{j}-a", f"{f}{j}-b", f"{f}{j}-full"])
-    return ids
+    return list(_CHAINS)
 
 
 def chain_sets(chain_id: str) -> list[tuple[str, int, bool]]:
     """Sets forming the group: tuples (family, j, left_multiplied)."""
-    fam = chain_id[0]
-    if fam not in "xyz":
-        raise ValueError(f"unknown chain {chain_id!r}")
-    body = chain_id[1:]
-    if body == "-base":
-        return [(fam, 3, True)]
     try:
-        j, variant = int(body[0]), body[2:]
-    except (ValueError, IndexError):
+        return list(_CHAINS[chain_id])
+    except (KeyError, TypeError):                   # TypeError: unhashable id
         raise ValueError(f"unknown chain {chain_id!r}") from None
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"unknown chain {chain_id!r}")
-    if variant == "a":
-        sets = [(fam, 3, True), (fam, j, True)]
-    elif variant == "b":
-        sets = [(fam, 3, True), (fam, j, False)]
-    elif variant == "full":
-        sets = [(fam, 3, True), (fam, j, True), (fam, 3, False), (fam, j, False)]
-    else:
-        raise ValueError(f"unknown chain {chain_id!r}")
-    # drop duplicates when j == 3
-    seen, out = set(), []
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
 
 
 def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
@@ -516,10 +532,10 @@ def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
 def group_closure_sample(chain_id: str, count: int, seed: int) -> dict:
     """Sample pairs from a chain group, form products and transposes, and
     report the fraction within 1e-9 of the group (1.0 when closed). Half of
-    each draw has a complex theta."""
+    each draw has a complex theta. count is an integer >= 1 (numpy integers
+    pass)."""
     sets = chain_sets(chain_id)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _check_count(count, 1, "count")
     rng = np.random.default_rng(seed)
 
     def draw(n):

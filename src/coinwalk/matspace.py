@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import is_orthogonal, is_permutative
+from .coins import _check_count, _index, is_orthogonal, is_permutative
 from .perms import ALL_PERMS, Permutation4, from_cycles, perm_matrix
 
 __all__ = [
@@ -203,10 +203,14 @@ _T217_SIGN = {"c1": -1, "c2": 1}
 
 
 def _theorem217_a4(variant: str, c2: float, branch: int) -> tuple[int, float]:
-    """The border sign s and the free entry a4; variant is case-blind."""
+    """The border sign s and the free entry a4; variant is case-blind and
+    branch the integer 1 or -1."""
     variant = variant.lower()
     if variant not in _T217_SIGN:
         raise ValueError("variant must be 'c1' or 'c2'")
+    branch = _index(branch)
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
     if not np.isfinite(c2):
         raise ValueError(f"c2={c2} is not finite")
     s = _T217_SIGN[variant]
@@ -227,8 +231,8 @@ def theorem217_family(variant: str, c2: float, branch: int = 1) -> np.ndarray:
     """Orthogonal non-permutative members of the L1+L3+L4 space.
 
     variant "c1" has first row (-1/2, 1/2, 1/2, 1/2) and c2 in [-1, 1/3];
-    variant "c2" negates it and takes c2 in [-1/3, 1]. branch selects the
-    square-root sign for the free entry.
+    variant "c2" negates it and takes c2 in [-1/3, 1]. branch, the integer 1
+    or -1, selects the square-root sign for the free entry.
     """
     s, a4 = _theorem217_a4(variant, c2, branch)
     b = s / 2
@@ -262,10 +266,12 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) ->
 
     Up to 60 batched Gauss-Newton steps from random starts, each step on
     the starts whose max |A^T A - I| is still above 1e-14; starts left
-    above 1e-12 are dropped. Returns an array (k, 4, 4). Near a corner of
+    above 1e-12 are dropped. trials is an integer >= 0 (numpy integers
+    pass). Returns an array (k, 4, 4). Near a corner of
     the variety A converges at square-root precision, so stopping at 1e-12
     would leave entries about 1e-6 off the corner; 1e-14 leaves about 1e-7.
     """
+    trials = _check_count(trials, 0, "trials")
     gens = np.stack([perm_matrix(n) for n in names])
     d = len(gens)
     rng = np.random.default_rng(seed)
@@ -293,30 +299,18 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) ->
 
 def direct_sum_components(A, tol: float = 1e-12) -> list[tuple[list[int], list[int]]]:
     """Connected components of the bipartite row/column graph of the nonzero
-    pattern; more than one component means A is a direct sum of blocks up to
+    pattern, as (rows, columns) in order of first row: the rows are the
+    transitive closure of "shares a column with", the columns those of its
+    rows. More than one component means A is a direct sum of blocks up to
     row/column permutations."""
     B = np.abs(np.asarray(A)) > tol
-    n = B.shape[0]
-    seen_r, comps = set(), []
-    for start in range(n):
-        if start in seen_r:
-            continue
-        rows, cols, stack = set(), set(), [("r", start)]
-        while stack:
-            side, i = stack.pop()
-            if side == "r":
-                if i in rows:
-                    continue
-                rows.add(i)
-                stack.extend(("c", j) for j in np.nonzero(B[i])[0])
-            else:
-                if i in cols:
-                    continue
-                cols.add(i)
-                stack.extend(("r", j) for j in np.nonzero(B[:, i])[0])
-        seen_r |= rows
-        comps.append((sorted(rows), sorted(cols)))
-    return comps
+    R = np.eye(len(B), dtype=bool) | (B @ B.T)
+    # after k squarings, R joins the rows linked by up to 2^k shared columns
+    for _ in range((len(B) - 1).bit_length()):
+        R = R @ R
+    C = R @ B
+    return [(np.flatnonzero(R[i]).tolist(), np.flatnonzero(C[i]).tolist())
+            for i, row in enumerate(R.tolist()) if row.index(True) == i]
 
 
 def is_perm_equivalent_direct_sum(A, tol: float = 1e-9) -> bool:

@@ -21,6 +21,11 @@ eigensystem, the last, keyed by (family, theta, N) for a family coin and by
 (entries, N) for a raw one: each caller asks for one coin's eigensystem
 several times in a row, and memory stays bounded by one eigensystem. The
 cached arrays are shared with every caller, so they are read-only.
+
+The degeneracy classes and their sums come from one routine, _class_sums:
+it decides the n <-> m fold, builds each class through omega_class and
+rejects a class whose members' spectra differ from its representative's.
+c_coefficient reads one class from it and coefficient_rows all of them.
 """
 
 from __future__ import annotations
@@ -284,7 +289,8 @@ def omega_class(n: int, m: int, N: int, symmetric: bool = True) -> DegeneracyCla
     q -> N - q; symmetric=True also folds n <-> m (the generalized Grover
     families, whose spectra are symmetric in the two momenta), while
     symmetric=False keeps the axes separate (the x3 family). N is a lattice
-    side the walk takes."""
+    side the walk takes. _class_sums decides the fold for a coin and checks
+    each class against the block spectra."""
     N = _check_lattice(N)
     half = (N - 1) // 2
     n, m = _index(n), _index(m)
@@ -302,44 +308,51 @@ def omega_class(n: int, m: int, N: int, symmetric: bool = True) -> DegeneracyCla
     return DegeneracyClass((n, m), tuple(sorted(members)))
 
 
+def _class_sums(coin, N: int, reps=None):
+    """The degeneracy classes of coin and their sums: (representatives,
+    sums (G, 4, 4, 4) indexed [class, k, a, b]) of v_a conj(v_b) over the
+    k-th unit eigenvectors of each class's members, for the representatives
+    reps, by default every one (n <= m when the classes fold).
+
+    This is the one place where the classes meet the block spectra. A
+    family coin folds n <-> m unless it is x3. A raw coin folds when every
+    block (n, m) lists the eigenvalues of block (m, n), k by k, within
+    _DEGEN_TOL. A class sum adds the k-th vectors of its members, so
+    ValueError unless every member lists its representative's eigenvalues k
+    by k within _DEGEN_TOL; a raw coin whose momentum orbits do not keep
+    the block spectrum fails this."""
+    lams, vecs, _, _ = coin_eigensystem(coin, N)
+    fam = _family_theta(coin)
+    symmetric = (fam[0] != "x3" if fam else
+                 bool((np.abs(lams - lams.transpose(1, 0, 2)) <= _DEGEN_TOL).all()))
+    if reps is None:
+        half = (N - 1) // 2
+        reps = [(n, m) for n in range(half + 1) for m in range(half + 1)
+                if not symmetric or n <= m]
+    classes = [omega_class(n, m, N, symmetric=symmetric) for n, m in reps]
+    ns, ms = zip(*(nm for cls in classes for nm in cls.members))
+    labels = np.repeat(np.arange(len(classes)), [len(cls.members) for cls in classes])
+    rn, rm = np.array([cls.representative for cls in classes])[labels].T
+    if (np.abs(lams[ns, ms] - lams[rn, rm]) > _DEGEN_TOL).any():
+        raise ValueError("a degeneracy class mixes blocks of different spectra")
+    return [cls.representative for cls in classes], _group_sums(vecs[ns, ms], labels, len(classes))
+
+
 def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) -> complex:
     """Degeneracy-class sum c for the origin-localized canonical initial
     state |S> observed in coin state |S'>:
 
         sum over (n', m') in the class of v_{l(S')} conj(v_{l(S)})
 
-    with unit eigenvectors, so the norm factors are already absorbed.
-    ValueError if a member's block spectrum is not the representative's."""
+    with unit eigenvectors, so the norm factors are already absorbed. The
+    class of (n, m) and its sum come from _class_sums, which folds n <-> m
+    and checks the class as coefficient_rows does: ValueError if a member's
+    block spectrum is not the representative's."""
     k = _index(k)
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be an integer in 1..4")
-    lams, vecs, _, _ = coin_eigensystem(coin, N)
-    cls = omega_class(n, m, N, symmetric=_symmetric(coin, lams))
-    ns, ms = zip(*cls.members)
-    _check_class_spectra(lams[ns, ms], lams[cls.representative])
-    sums = _group_sums(vecs[ns, ms, k - 1], np.zeros(len(ns), dtype=int), 1)
-    return complex(sums[0, chirality_index(S_prime) - 1, chirality_index(S) - 1])
-
-
-def _check_class_spectra(member_lams: np.ndarray, rep_lams: np.ndarray) -> None:
-    """ValueError unless each class member lists its representative's
-    eigenvalues, k by k, within _DEGEN_TOL: a class sum adds the k-th
-    vectors of its members. A raw coin whose momentum orbits do not keep
-    the block spectrum fails this."""
-    if (np.abs(member_lams - rep_lams) > _DEGEN_TOL).any():
-        raise ValueError("a degeneracy class mixes blocks of different spectra")
-
-
-def _symmetric(coin, lams: np.ndarray) -> bool:
-    """Whether the degeneracy classes of coin fold n <-> m. A family coin
-    folds unless it is x3. A raw coin folds when its block spectra lams
-    (N, N, 4) are symmetric: every block (n, m) has the eigenvalues of
-    (m, n), in any order, within _DEGEN_TOL."""
-    fam = _family_theta(coin)
-    if fam is not None:
-        return fam[0] != "x3"
-    d = np.abs(lams[..., :, None] - lams.transpose(1, 0, 2)[..., None, :])
-    return bool((d.min(axis=-1) <= _DEGEN_TOL).all() and (d.min(axis=-2) <= _DEGEN_TOL).all())
+    sums = _class_sums(coin, N, [(n, m)])[1]
+    return complex(sums[0, k - 1, chirality_index(S_prime) - 1, chirality_index(S) - 1])
 
 
 def _group_sums(vecs: np.ndarray, labels: np.ndarray, G: int) -> np.ndarray:
@@ -435,22 +448,12 @@ def spectrum_rows(coin, N: int):
 
 def coefficient_rows(coin, N: int):
     """Iterate (S, S', n, m, k, Re c, Im c) over degeneracy-class
-    representatives for the origin-localized initial states. ValueError if
+    representatives for the origin-localized initial states. The classes,
+    their n <-> m fold and their check come from _class_sums: ValueError if
     a member's block spectrum is not its representative's."""
-    lams, vecs, _, _ = coin_eigensystem(coin, N)
-    symmetric = _symmetric(coin, lams)
-    half = (N - 1) // 2
-    classes = [omega_class(n, m, N, symmetric=symmetric)
-               for n in range(half + 1) for m in range(half + 1)
-               if symmetric is False or n <= m]
-    ns, ms = zip(*(nm for cls in classes for nm in cls.members))
-    labels = np.repeat(np.arange(len(classes)), [len(cls.members) for cls in classes])
-    reps = np.array([cls.representative for cls in classes])[labels]
-    _check_class_spectra(lams[ns, ms], lams[reps[:, 0], reps[:, 1]])
-    sums = _group_sums(vecs[ns, ms], labels, len(classes))     # [class, k, a, b]
+    reps, sums = _class_sums(coin, N)                    # [class, k, a, b]
     for b, S in enumerate(CHIRALITIES):
         for a, Sp in enumerate(CHIRALITIES):
-            for cls, c_k in zip(classes, sums[:, :, a, b].tolist()):
-                n, m = cls.representative
+            for (n, m), c_k in zip(reps, sums[:, :, a, b].tolist()):
                 for k, c in enumerate(c_k, 1):
                     yield S, Sp, n, m, k, c.real, c.imag

@@ -16,13 +16,12 @@ Coin, so checking a Coin on every step costs two attribute reads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .coins import Coin
+from .coins import Coin, _check_count, _index
 
 __all__ = [
     "CHIRALITIES", "chirality_index",
@@ -40,27 +39,6 @@ def chirality_index(S: str) -> int:
         return CHIRALITIES.index(S.upper()) + 1
     except ValueError:
         raise ValueError(f"chirality must be one of {CHIRALITIES}, got {S!r}") from None
-
-
-def _index(value) -> int | None:
-    """value as an int if it is an integer: Python's and numpy's integer
-    types pass; bool, float (even 5.0 or NaN) and the rest give None."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
-def _check_count(value, least: int, what: str) -> int:
-    """value as an int of at least `least`; ValueError unless _index takes it."""
-    n = _index(value)
-    if n is None:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if n < least:
-        raise ValueError(f"{what} must be >= {least}, got {n}")
-    return n
 
 
 def _check_lattice(N: int) -> int:

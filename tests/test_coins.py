@@ -364,6 +364,52 @@ def test_chain_ids_cover_expected_groups():
         chain_sets("w1-a")
 
 
+def _parsed_chain_sets(chain_id):
+    # the string parser that chain_sets replaced with a table lookup
+    fam = chain_id[0]
+    if fam not in "xyz":
+        raise ValueError(f"unknown chain {chain_id!r}")
+    body = chain_id[1:]
+    if body == "-base":
+        return [(fam, 3, True)]
+    try:
+        j, variant = int(body[0]), body[2:]
+    except (ValueError, IndexError):
+        raise ValueError(f"unknown chain {chain_id!r}") from None
+    if j not in (1, 2, 3, 4):
+        raise ValueError(f"unknown chain {chain_id!r}")
+    if variant == "a":
+        sets = [(fam, 3, True), (fam, j, True)]
+    elif variant == "b":
+        sets = [(fam, 3, True), (fam, j, False)]
+    elif variant == "full":
+        sets = [(fam, 3, True), (fam, j, True), (fam, 3, False), (fam, j, False)]
+    else:
+        raise ValueError(f"unknown chain {chain_id!r}")
+    seen, out = set(), []
+    for s in sets:
+        if s not in seen:
+            seen.add(s)
+            out.append(s)
+    return out
+
+
+def test_chain_table_matches_the_parser():
+    ids = [i for f in "xyz" for i in [f"{f}-base"] + [f"{f}{j}-{v}" for j in (1, 2, 3, 4)
+                                                      for v in ("a", "b", "full")]]
+    assert chain_ids() == ids
+    for cid in ids:
+        assert chain_sets(cid) == _parsed_chain_sets(cid)
+    chain_sets("x1-full").clear()                   # a caller's list, not the table
+    assert chain_sets("x1-full") == _parsed_chain_sets("x1-full")
+
+
+@pytest.mark.parametrize("chain_id", ["", "x1", "x5-a", "x1-c", "X1-a", "x-base ", ["x-base"]])
+def test_chain_sets_rejects_unknown_ids(chain_id):
+    with pytest.raises(ValueError, match="unknown chain"):
+        chain_sets(chain_id)
+
+
 @pytest.mark.parametrize("chain", ["x-base", "x1-full", "y2-a", "z3-b", "y4-full"])
 def test_group_closure_sampled(chain):
     rep = group_closure_sample(chain, 300, seed=11)
@@ -546,6 +592,29 @@ def test_in_pattern_set_rejects_non_4x4():
 def test_group_closure_sample_rejects_count_below_one(count):
     with pytest.raises(ValueError, match="count must be >= 1"):
         group_closure_sample("x1-full", count, seed=1)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+def test_group_closure_sample_rejects_non_integer_count(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        group_closure_sample("x1-full", count, seed=1)
+
+
+def test_group_closure_sample_takes_numpy_integers():
+    assert group_closure_sample("y2-a", np.int64(7), seed=3) == group_closure_sample("y2-a", 7, seed=3)
+
+
+@pytest.mark.parametrize("z_branch", [0, 2, True, False, 1.0, -1.0, "1", None])
+def test_coin_rational_rejects_z_branch_but_plus_minus_one(z_branch):
+    with pytest.raises(ValueError, match="z_branch must be"):
+        coin_rational("x1", 2, z_branch=z_branch)
+
+
+@pytest.mark.parametrize("z_branch", [1, -1])
+def test_coin_rational_takes_numpy_z_branch(z_branch):
+    got = coin_rational("y2", Fraction(3, 5), z_branch=np.int8(z_branch))
+    want = coin_rational("y2", Fraction(3, 5), z_branch=z_branch)
+    assert got.exact == want.exact and all(type(v) is Fraction for row in got.exact for v in row)
 
 
 

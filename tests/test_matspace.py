@@ -201,6 +201,19 @@ def test_theorem217_generic_members_not_permutative(variant, c2):
     assert not is_permutative(M, 1e-9)
 
 
+@pytest.mark.parametrize("branch", [0, 5, -2, True, False, 1.0, -1.0, "1", None])
+@pytest.mark.parametrize("fn", [theorem217_family, theorem217_block])
+def test_theorem217_rejects_branch_but_plus_minus_one(fn, branch):
+    with pytest.raises(ValueError, match="branch must be"):
+        fn("c1", 0.2, branch=branch)
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("fn", [theorem217_family, theorem217_block])
+def test_theorem217_takes_numpy_branch(fn, branch):
+    assert fn("c2", 0.3, np.int32(branch)).tobytes() == fn("c2", 0.3, branch).tobytes()
+
+
 def test_theorem217_out_of_range():
     with pytest.raises(ValueError):
         theorem217_family("c1", 0.5)
@@ -241,6 +254,48 @@ def test_direct_sum_detection():
     assert len(comps) == 2
     assert is_perm_equivalent_direct_sum(A)
     assert not is_perm_equivalent_direct_sum(G)
+
+
+def _searched_components(A, tol=1e-12):
+    # the depth-first search that direct_sum_components replaced
+    B = np.abs(np.asarray(A)) > tol
+    n = B.shape[0]
+    seen_r, comps = set(), []
+    for start in range(n):
+        if start in seen_r:
+            continue
+        rows, cols, stack = set(), set(), [("r", start)]
+        while stack:
+            side, i = stack.pop()
+            if side == "r":
+                if i in rows:
+                    continue
+                rows.add(i)
+                stack.extend(("c", j) for j in np.nonzero(B[i])[0])
+            else:
+                if i in cols:
+                    continue
+                cols.add(i)
+                stack.extend(("r", j) for j in np.nonzero(B[:, i])[0])
+        seen_r |= rows
+        comps.append((sorted(rows), sorted(cols)))
+    return comps
+
+
+def test_direct_sum_components_match_the_search_on_every_pattern():
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(16)) & 1
+    for pattern in bits.reshape(-1, 4, 4):
+        assert direct_sum_components(pattern) == _searched_components(pattern)
+
+
+def test_direct_sum_components_match_the_search_on_rectangles():
+    rng = np.random.default_rng(5)
+    for _ in range(1500):
+        shape = tuple(rng.integers(1, 8, 2))
+        A = rng.normal(size=shape) * (rng.random(shape) < rng.random())
+        A[rng.random(shape) < 0.1] = 1e-13                  # below the default tol
+        assert direct_sum_components(A) == _searched_components(A)
+        assert direct_sum_components(A, 0.5) == _searched_components(A, 0.5)
 
 
 def _space_names(*idx):
@@ -374,6 +429,21 @@ _SAMPLED = (
                                   (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)]]
     + [((2, 3, 4, 5), 400, 9), ((1, 3, 4), 200, 21)]
 )
+
+
+@pytest.mark.parametrize("trials, match", [
+    (-1, "trials must be >= 0"), (2.5, "trials must be an integer"),
+    (3.0, "trials must be an integer"), (True, "trials must be an integer"),
+])
+def test_sampler_rejects_bad_trials(trials, match):
+    with pytest.raises(ValueError, match=match):
+        sample_orthogonal_in_span(L_SPACES[1], trials, 0)
+
+
+def test_sampler_takes_zero_and_numpy_trials():
+    assert sample_orthogonal_in_span(L_SPACES[1], 0, 0).shape == (0, 4, 4)
+    got = sample_orthogonal_in_span(L_SPACES[2], np.int64(5), 3)
+    assert got.tobytes() == sample_orthogonal_in_span(L_SPACES[2], 5, 3).tobytes()
 
 
 @pytest.mark.parametrize("spaces,trials,seed", _SAMPLED)

@@ -622,6 +622,23 @@ def test_class_sums_equal_member_loop(coin):
     assert len(rows) == 16 * 4 * (25 if x3 else 15)
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["coin", "raw"])
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_c_coefficient_is_its_coefficient_rows_entry(family, raw):
+    # both read one class-sum routine: every class and every k, bit for bit,
+    # with the (S', S) pair cycling through all 16
+    coin = coin_from_theta(family, 0.7)
+    C = coin.entries if raw else coin
+    N = 9
+    rows = {row[:5]: row[5:] for row in coefficient_rows(C, N)}
+    classes = sorted({key[2:] for key in rows})
+    assert len(classes) == 4 * (25 if family == "x3" else 15)
+    for i, (n, m, k) in enumerate(classes):
+        S, Sp = CHIRALITIES[i % 4], CHIRALITIES[i // 4 % 4]
+        c = c_coefficient(C, Sp, S, n, m, k, N)
+        assert np.array([c.real, c.imag]).tobytes() == np.array(rows[S, Sp, n, m, k]).tobytes()
+
+
 @pytest.mark.parametrize("family, theta", [("x3", 0.4), ("p24y1", -math.pi / 2)])
 def test_raw_coin_folds_like_its_family(family, theta):
     # a raw coin folds n <-> m only when its block spectra are symmetric:
