@@ -25,13 +25,10 @@ _CONVERGED_DELTA = 1e-10
 
 
 def _read_matrix(args) -> np.ndarray:
-    src = getattr(args, "infile", None)
-    if src in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        with open(src, encoding="utf-8") as fh:
-            text = fh.read()
-    return read_matrix_text(text)
+    if args.infile in (None, "-"):
+        return read_matrix_text(sys.stdin.read())
+    with open(args.infile, encoding="utf-8") as fh:
+        return read_matrix_text(fh.read())
 
 
 def _emit(args, json_obj, csv_header, csv_rows) -> None:
@@ -40,6 +37,8 @@ def _emit(args, json_obj, csv_header, csv_rows) -> None:
         if args.format == "json":
             dump_json(stream, json_obj)
         else:
+            # imported at call time, so that a wrapper put on io.write_csv
+            # after this module loaded (perfbench's tracer) is the one called
             from .io import write_csv
             write_csv(stream, csv_header, csv_rows)
     finally:
@@ -60,13 +59,13 @@ def _matrix_rows(M: np.ndarray):
 
 def _gen_coin(args) -> coins.Coin:
     fam = args.family.lower()
-    if args.r is not None:
-        if fam not in coins.SET_TAGS:
-            raise ValueError("rational coins need a pattern-set family tag (x1..z4)")
-        return coins.coin_rational(fam, Fraction(args.r), args.z_branch)
-    if args.theta is None:
-        raise ValueError("coin gen needs --theta or --r")
-    return coins.coin_from_theta(fam, args.theta)
+    if args.r is None:
+        if args.z_branch is not None:
+            raise ValueError("--z-branch needs --r")
+        return coins.coin_from_theta(fam, args.theta)
+    if fam not in coins.SET_TAGS:
+        raise ValueError("rational coins need a pattern-set family tag (x1..z4)")
+    return coins.coin_rational(fam, Fraction(args.r), args.z_branch or 1)
 
 
 def cmd_coin(args) -> int:
@@ -149,10 +148,6 @@ def cmd_space(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    if args.action == "spectrum" and args.dump_state:
-        raise ValueError("--dump-state applies to walk simulate only")
-    if args.action == "simulate" and args.coefficients:
-        raise ValueError("--coefficients applies to walk spectrum only")
     coin = coins.coin_from_theta(args.family, args.theta)
     if args.action == "spectrum":
         if args.coefficients:
@@ -200,8 +195,6 @@ def cmd_walk(args) -> int:
 
 def cmd_localize(args) -> int:
     quad = localization.QuadratureSpec(args.quad_M)
-    if args.check_convergence and args.action in ("sweep", "theorem36"):
-        raise ValueError("--check-convergence applies to localize pair and total only")
     if args.action == "theorem36":
         report = localization.theorem36_check(quad, grid=args.grid)
         _emit_fields(args, report)
@@ -227,9 +220,32 @@ def cmd_localize(args) -> int:
     return EXIT_NUMERIC if flagged else EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+# Each flag's add_argument keywords, written once. An action's parser takes only the
+# flags build_parser lists for it: a flag the action would ignore is a usage error
+_FLAGS = {
+    "--family": {"default": "p24y1", "help": "p34x1|p24y1|p23z1|x3, or x1..z4 with --r"},
+    "--theta": {"type": float},
+    "--r": {"help": "rational parameter NUM/DEN"},
+    "--z-branch": {"type": int, "choices": (1, -1), "help": "with --r only (default 1)"},
+    "--in": {"dest": "infile", "help": "matrix input path (default stdin)"},
+    "--tol": {"type": float, "default": 1e-9},
+    "--variant": {"choices": ("c1", "c2"), "default": "c1"},
+    "--c2": {"type": float, "default": 0.2},
+    "--branch": {"type": int, "choices": (1, -1), "default": 1},
+    "--N": {"type": int, "required": True},
+    "--T": {"type": int, "default": 100},
+    "--S": {"default": "R"},
+    "--Sprime": {"default": "R"},
+    "--at": {"default": "0,0"},
+    "--dump-state": {"action": "store_true", "help": "add the final amplitudes (JSON only)"},
+    "--coefficients": {"action": "store_true", "help": "degeneracy-class sums, not eigenvalues"},
+    "--points": {"type": int, "default": 400},
+    "--grid": {"type": int, "default": 25},
+    "--quad-M": {"type": int, "default": 512},
+    "--check-convergence": {"action": "store_true"},
+    "--out": {"help": "output path (default stdout)"},
+    "--format": {"choices": ("csv", "json"), "default": "json"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,57 +258,41 @@ def build_parser() -> argparse.ArgumentParser:
                "coinwalk walk simulate --family p24y1 --theta 0.7 --N 5 --T 2000 "
                "--S R --at 0,0",
     )
+    # (command, help, handler, keyword overrides, {action: flags}); "a|b"
+    # in the flags means exactly one of a and b. The handlers are read here,
+    # at call time, so a wrapped cmd_* is the one run
+    commands = (
+        ("coin", "generate/classify/verify coins", cmd_coin, {}, {
+            "gen": "--family --theta|--r --z-branch",
+            "classify": "--in --tol", "verify": "--in --tol",
+        }),
+        ("space", "permutation-span analysis", cmd_space, {}, {
+            "decompose": "--in", "sq-check": "--in", "partition": "",
+            "c-family": "--variant --c2 --branch",
+        }),
+        ("walk", "direct simulation and block spectra", cmd_walk,
+         {"--family": {"required": True}, "--theta": {"required": True}}, {
+            "simulate": "--family --theta --N --T --S --at --dump-state",
+            "spectrum": "--family --theta --N --coefficients",
+        }),
+        ("localize", "infinite-lattice localization", cmd_localize,
+         {"--theta": {"default": 0.0}}, {
+            "pair": "--family --theta --S --Sprime --quad-M --check-convergence",
+            "total": "--family --theta --S --quad-M --check-convergence",
+            "sweep": "--family --S --points --quad-M",
+            "theorem36": "--grid --quad-M",
+        }),
+    )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    pc = sub.add_parser("coin", help="generate/classify/verify coins")
-    pc.add_argument("action", choices=("gen", "classify", "verify"))
-    pc.add_argument("--family", default="p24y1",
-                    help="p34x1|p24y1|p23z1|x3 or a pattern-set tag x1..z4 with --r")
-    pc.add_argument("--theta", type=float, default=None)
-    pc.add_argument("--r", default=None, help="rational parameter NUM/DEN")
-    pc.add_argument("--z-branch", dest="z_branch", type=int, choices=(1, -1), default=1)
-    pc.add_argument("--in", dest="infile", default=None,
-                    help="matrix input path for classify/verify (default stdin)")
-    pc.add_argument("--tol", type=float, default=1e-9)
-    _add_common(pc)
-    pc.set_defaults(func=cmd_coin)
-
-    ps = sub.add_parser("space", help="permutation-span analysis")
-    ps.add_argument("action", choices=("decompose", "sq-check", "partition", "c-family"))
-    ps.add_argument("--in", dest="infile", default=None)
-    ps.add_argument("--variant", choices=("c1", "c2"), default="c1")
-    ps.add_argument("--c2", type=float, default=0.2)
-    ps.add_argument("--branch", type=int, choices=(1, -1), default=1)
-    _add_common(ps)
-    ps.set_defaults(func=cmd_space)
-
-    pw = sub.add_parser("walk", help="direct simulation and block spectra")
-    pw.add_argument("action", choices=("simulate", "spectrum"))
-    pw.add_argument("--family", required=True)
-    pw.add_argument("--theta", type=float, required=True)
-    pw.add_argument("--N", type=int, required=True)
-    pw.add_argument("--T", type=int, default=100)
-    pw.add_argument("--S", default="R")
-    pw.add_argument("--at", default="0,0")
-    pw.add_argument("--dump-state", action="store_true",
-                    help="simulate: add the final amplitudes (JSON only)")
-    pw.add_argument("--coefficients", action="store_true",
-                    help="emit degeneracy-class coefficient sums instead of eigenvalues")
-    _add_common(pw)
-    pw.set_defaults(func=cmd_walk)
-
-    pl = sub.add_parser("localize", help="infinite-lattice localization")
-    pl.add_argument("action", choices=("pair", "total", "sweep", "theorem36"))
-    pl.add_argument("--family", default="p24y1")
-    pl.add_argument("--theta", type=float, default=0.0)
-    pl.add_argument("--S", default="R")
-    pl.add_argument("--Sprime", default="R")
-    pl.add_argument("--points", type=int, default=400)
-    pl.add_argument("--grid", type=int, default=25)
-    pl.add_argument("--quad-M", dest="quad_M", type=int, default=512)
-    pl.add_argument("--check-convergence", action="store_true")
-    _add_common(pl)
-    pl.set_defaults(func=cmd_localize)
+    for cmd, help_, func, overrides, actions in commands:
+        acts = sub.add_parser(cmd, help=help_).add_subparsers(dest="action", required=True)
+        for action, flags in actions.items():
+            pa = acts.add_parser(action)
+            pa.set_defaults(func=func)
+            for group in (flags + " --out --format").split():
+                into = pa.add_mutually_exclusive_group(required=True) if "|" in group else pa
+                for flag in group.split("|"):
+                    into.add_argument(flag, **{**_FLAGS[flag], **overrides.get(flag, {})})
     return ap
 
 

@@ -40,6 +40,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -248,12 +249,17 @@ def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
     Parameters follow the rational parametrization of the defining variety:
     the A-block value is (r^2-1)/(2(r^2+1)) and the B-block value is
     sign*1/2 + z_branch*r/(r^2+1). All entries are Fractions; the result is
-    exactly orthogonal in Fraction arithmetic. z_branch is the integer 1 or
-    -1 (numpy integers pass, bool does not).
+    exactly orthogonal in Fraction arithmetic. r is a Fraction, an integer
+    (numpy integers pass) or a string such as "2/3"; a bool raises
+    ValueError. z_branch is the integer 1 or -1 (numpy integers pass, bool
+    does not).
     """
     if tag not in SET_TAGS:
         raise ValueError(f"unknown set tag {tag!r}")
-    r = Fraction(r)
+    if isinstance(r, bool):
+        raise ValueError(f"r must be a Fraction, an integer or a string, got {r!r}")
+    n = _index(r)     # a numpy integer as a Python int, so the entries hold ints
+    r = Fraction(r if n is None else n)
     if r == 0:
         raise ValueError("r must be nonzero")
     z_branch = _index(z_branch)
@@ -597,23 +603,29 @@ def coin_to_json(coin: Coin) -> dict:
 
 
 def coin_from_json(obj: dict) -> Coin:
+    """The coin of a coin_to_json dict; ValueError for a missing or mistyped
+    field."""
     def cell(v):
         return Fraction(v[0], v[1]) if isinstance(v, (list, tuple)) else None
 
-    re_raw = obj["entries_re"]
-    exact = None
-    if re_raw and isinstance(re_raw[0][0], (list, tuple)):
-        exact = tuple(tuple(cell(v) for v in row) for row in re_raw)
-        re = np.array([[float(v) for v in row] for row in exact])
-        im = np.zeros((4, 4))
-    else:
-        re = np.array(re_raw, dtype=float)
-        im = np.array(obj.get("entries_im") or np.zeros((4, 4)), dtype=float)
-    r = obj.get("r")
-    return Coin(
-        re + 1j * im,
-        family=obj.get("family", "raw"),
-        theta=obj.get("theta"),
-        r=Fraction(r[0], r[1]) if r else None,
-        exact=exact,
-    )
+    try:
+        re_raw = obj["entries_re"]
+        exact = None
+        if re_raw and isinstance(re_raw[0][0], (list, tuple)):
+            exact = tuple(tuple(cell(v) for v in row) for row in re_raw)
+            re = np.array([[float(v) for v in row] for row in exact])
+            im = np.zeros((4, 4))
+        else:
+            re = np.array(re_raw, dtype=float)
+            im = np.array(obj.get("entries_im") or np.zeros((4, 4)), dtype=float)
+        r = obj.get("r")
+        r = Fraction(r[0], r[1]) if r else None
+    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed coin JSON ({type(exc).__name__}: {exc})") from None
+    family, theta = obj.get("family", "raw"), obj.get("theta")
+    if re.shape != (4, 4) or im.shape != (4, 4):
+        raise ValueError(f"coin JSON entries must be 4x4, got {re.shape} and {im.shape}")
+    if not isinstance(family, str) or not (
+            theta is None or isinstance(theta, Real) and not isinstance(theta, bool)):
+        raise ValueError(f"malformed coin JSON: family {family!r}, theta {theta!r}")
+    return Coin(re + 1j * im, family=family, theta=theta, r=r, exact=exact)

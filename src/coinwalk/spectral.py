@@ -415,14 +415,6 @@ def finite_N_pbar_matrix(coin, N: int) -> np.ndarray:
     return (np.abs(sums) ** 2).sum(axis=0) / N**4
 
 
-def _plane_waves(N: int) -> np.ndarray:
-    """ph[n, ix] = w^(n x) with w = exp(2 pi i / N), x = ix - (N-1)/2."""
-    half = (N - 1) // 2
-    xs = np.arange(-half, half + 1)
-    w = np.exp(2j * np.pi / N)
-    return w ** np.outer(np.arange(N), xs)
-
-
 def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
     """Spectral reconstruction of the state after t steps from the canonical
     initial state |S> at the origin. t must be an integer >= 0, as for
@@ -431,11 +423,11 @@ def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
         raise ValueError(f"t must be an integer >= 0, got {t!r}")
     lams, vecs, _, _ = coin_eigensystem(coin, N)
     b = chirality_index(S) - 1
-    # sum over k of lam^t v conj(v_b); phases reattach the plane waves
-    M = np.einsum("nmk,nmks,nmk->nms", lams**t, vecs, np.conj(vecs[:, :, :, b]))
-    ph = _plane_waves(N)
-    amps = np.einsum("nms,nx,my->sxy", M, ph, ph, optimize=True) / N**2
-    return WalkState(N, amps)
+    # sum over k of lam^t v conj(v_b), then the inverse transform over (n, m):
+    # amps[s, x, y] = sum of M[s, n, m] w^(n x + m y) / N^2, w = exp(2 pi i / N),
+    # and fftshift moves x = y = 0 to the centre of the lattice
+    M = np.einsum("nmk,nmks,nmk->snm", lams**t, vecs, np.conj(vecs[:, :, :, b]))
+    return WalkState(N, np.fft.fftshift(np.fft.ifft2(M), axes=(1, 2)))
 
 
 def spectrum_rows(coin, N: int):

@@ -48,10 +48,12 @@ def _check_lattice(N: int) -> int:
     return n
 
 
-def _check_coords(x: int, y: int, N: int):
+def _check_coords(x: int, y: int, N: int) -> int:
+    """(N - 1) // 2, after checking that (x, y) lies on the centered lattice."""
     half = (N - 1) // 2
     if not (-half <= x <= half and -half <= y <= half):
         raise ValueError(f"({x},{y}) outside the centered lattice of side {N}")
+    return half
 
 
 def index_of(S: str, x: int, y: int, N: int) -> int:
@@ -86,8 +88,7 @@ class WalkState:
         return float(np.linalg.norm(self.amps))
 
     def amplitude(self, S: str, x: int, y: int) -> complex:
-        _check_coords(x, y, self.N)
-        half = (self.N - 1) // 2
+        half = _check_coords(x, y, self.N)
         return complex(self.amps[chirality_index(S) - 1, x + half, y + half])
 
     def to_vector(self) -> np.ndarray:
@@ -182,9 +183,7 @@ def evolve(state: WalkState, C, t: int) -> WalkState:
 
 def probability_at(state: WalkState, x: int, y: int) -> float:
     """P_t((x,y)) = sum over chirality of |amplitude|^2."""
-    half = (state.N - 1) // 2
-    if not (-half <= x <= half and -half <= y <= half):
-        raise ValueError(f"({x},{y}) outside the centered lattice of side {state.N}")
+    half = _check_coords(x, y, state.N)
     return float(np.abs(state.amps[:, x + half, y + half] ** 2).sum().real)
 
 
@@ -207,8 +206,7 @@ def time_averaged_chirality_profile(C, N: int, S: str, T: int,
     T = _check_count(T, 1, "T")
     C = _walk_coin(C)
     state = initial_state(N, S)
-    _check_coords(x, y, N)
-    half = (N - 1) // 2
+    half = _check_coords(x, y, N)
     ix, iy = x + half, y + half
     acc = np.abs(state.amps[:, ix, iy]) ** 2
     for _ in range(T - 1):

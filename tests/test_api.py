@@ -2,6 +2,7 @@
 spectral and localization modules keep their public names, and the public
 callables keep their parameter names."""
 
+import argparse
 import importlib
 import inspect
 
@@ -189,14 +190,24 @@ def test_public_parameters_frozen():
     assert {m: _public_parameters(m) for m in PARAMETERS} == PARAMETERS
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def test_localize_cli_options_frozen():
     from coinwalk.cli import build_parser
-    sub = next(a for a in build_parser()._actions if a.dest == "cmd")
-    options = sorted(s for a in sub.choices["localize"]._actions
-                     for s in a.option_strings)
-    assert options == ["--S", "--Sprime", "--check-convergence", "--family",
-                       "--format", "--grid", "--help", "--out", "--points",
-                       "--quad-M", "--theta", "-h"]
+    localize = _subparsers(_subparsers(build_parser()).choices["localize"]).choices
+    options = {action: sorted(s for a in p._actions for s in a.option_strings)
+               for action, p in localize.items()}
+    common = ["--format", "--help", "--out"]
+    assert options == {
+        "pair": sorted(common + ["--S", "--Sprime", "--check-convergence", "--family",
+                                 "--quad-M", "--theta", "-h"]),
+        "total": sorted(common + ["--S", "--check-convergence", "--family", "--quad-M",
+                                  "--theta", "-h"]),
+        "sweep": sorted(common + ["--S", "--family", "--points", "--quad-M", "-h"]),
+        "theorem36": sorted(common + ["--grid", "--quad-M", "-h"]),
+    }
 
 
 def test_io_public_names_frozen():

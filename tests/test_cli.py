@@ -209,15 +209,20 @@ def test_walk_simulate_dump_state_rejects_csv(capsys):
     assert capsys.readouterr() == ("", "error: --dump-state needs --format json\n")
 
 
+def usage_error(capsys, *argv):
+    """Run main on argv, expecting argparse's usage error: exit 2, a usage
+    line on stderr and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and err.startswith("usage: coinwalk")
+
+
 @pytest.mark.parametrize("action, flag", [("spectrum", "--dump-state"),
                                           ("simulate", "--coefficients")])
 def test_walk_rejects_flag_its_action_ignores(capsys, action, flag):
-    # the other action would run and drop the flag without a word
-    code = main(["walk", action, "--family", "x3", "--theta", "1.1", "--N", "5",
-                 "--T", "3", flag])
-    other = "simulate" if action == "spectrum" else "spectrum"
-    assert code == 2
-    assert capsys.readouterr() == ("", f"error: {flag} applies to walk {other} only\n")
+    # the other action's flag is no option of this action's parser
+    usage_error(capsys, "walk", action, "--family", "x3", "--theta", "1.1", "--N", "5", flag)
 
 
 def test_walk_simulate_dump_state_round_trips_evolve(capsys):
@@ -356,7 +361,7 @@ def test_localize_check_convergence_needs_quad_M_32(capsys):
 def test_localize_check_convergence_keeps_value_bytes(capsys, action, family, theta, M):
     # the flag adds the halving check; the value and every other byte stay
     argv = ["localize", action, "--family", family, "--theta", theta, "--S", "U",
-            "--Sprime", "D", "--quad-M", M]
+            "--quad-M", M] + (["--Sprime", "D"] if action == "pair" else [])
     plain = run(capsys, *argv)
     checked = run(capsys, *argv, "--check-convergence")
     assert plain == checked
@@ -375,11 +380,64 @@ def test_localize_nan_delta_is_not_converged(capsys, monkeypatch):
 
 @pytest.mark.parametrize("action", ["sweep", "theorem36"])
 def test_localize_check_convergence_rejected_outside_pair_total(capsys, action):
-    code = main(["localize", action, "--points", "3", "--grid", "3", "--quad-M", "32",
-                 "--check-convergence"])
+    own = {"sweep": ["--points", "3"], "theorem36": ["--grid", "3"]}[action]
+    usage_error(capsys, "localize", action, *own, "--quad-M", "32", "--check-convergence")
+
+
+# each passes flags its action does not read: refused before any output
+@pytest.mark.parametrize("argv", [
+    "localize theorem36 --family x3 --theta 2 --points 9",
+    "localize sweep --theta 1 --Sprime D --grid 7",
+    "localize total --Sprime D --points 3 --grid 2",
+    "coin gen --r 2 --theta 0.5",
+    "coin gen --theta 0.3 --z-branch -1",
+    "coin gen --tol nan --in /nonexistent",
+    "coin verify --family zz --r 0",
+    "space partition --in /nonexistent --c2 7",
+    "space c-family --in /nonexistent",
+    "walk spectrum --T 5 --S U --at 9,9",
+])
+def test_flag_an_action_ignores_exits_2(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+def test_coin_gen_z_branch_needs_r(capsys):
+    code = main(["coin", "gen", "--theta", "0.3", "--z-branch", "-1"])
     assert code == 2
-    assert capsys.readouterr() == (
-        "", "error: --check-convergence applies to localize pair and total only\n")
+    assert capsys.readouterr() == ("", "error: --z-branch needs --r\n")
+    assert run(capsys, "coin", "gen", "--family", "y3", "--r", "3/5", "--z-branch", "-1")[0] == 0
+
+
+def test_readme_cli_lines_parse():
+    # README's CLI block and the per-action parsers must not drift apart
+    import pathlib
+    import shlex
+
+    from coinwalk.cli import build_parser
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l.split("#", 1)[0] for l in block.splitlines() if l.startswith("coinwalk ")]
+    assert len(lines) >= 15
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert (args.cmd, args.action) == tuple(shlex.split(line)[1:3])
+
+
+MALFORMED_COIN_JSON = ['{}', '{"entries_re": 5}',
+                       json.dumps({"entries_re": np.eye(4).tolist(), "r": 3})]
+
+
+@pytest.mark.parametrize("text", MALFORMED_COIN_JSON, ids=["empty", "scalar", "r-int"])
+def test_coin_verify_rejects_malformed_coin_json(capsys, monkeypatch, text):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["coin", "verify"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: malformed coin JSON")
 
 
 def test_theta_thread_pool_removed(capsys, monkeypatch):

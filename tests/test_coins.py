@@ -617,6 +617,31 @@ def test_coin_rational_takes_numpy_z_branch(z_branch):
     assert got.exact == want.exact and all(type(v) is Fraction for row in got.exact for v in row)
 
 
+@pytest.mark.parametrize("r", [True, False])
+def test_coin_rational_rejects_bool_r(r):
+    # Fraction(True) is 1: a flag must not pass as the parameter r = 1
+    with pytest.raises(ValueError, match="r must be a Fraction, an integer or a string"):
+        coin_rational("x1", r)
+
+
+@pytest.mark.parametrize("r", [Fraction(2), 2, "2", "2/1", np.int64(2), np.uint8(2)])
+def test_coin_rational_takes_fraction_int_str_and_numpy_r(r):
+    got = coin_rational("x1", r)
+    assert got.exact == coin_rational("x1", Fraction(2, 1)).exact
+    assert type(got.r.numerator) is int
+    assert json.loads(json.dumps(coin_to_json(got)))["r"] == [2, 1]
+
+
+@pytest.mark.parametrize("obj", [{}, {"entries_re": 5}, {"entries_re": np.eye(4).tolist(), "r": 3},
+                                 {"entries_re": np.eye(4).tolist(), "r": [1, 0]},
+                                 {"entries_re": [[[1, 2]]]},
+                                 {"entries_re": np.eye(4).tolist(), "entries_im": 7},
+                                 {"entries_re": np.eye(4).tolist(), "family": 5},
+                                 {"entries_re": np.eye(4).tolist(), "theta": "0.5"}])
+def test_coin_from_json_rejects_missing_or_mistyped_fields(obj):
+    with pytest.raises(ValueError, match="coin JSON"):
+        coin_from_json(obj)
+
 
 # ---------------------------------------------------------------------------
 # the first-row family pruning of the witness search

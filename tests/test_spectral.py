@@ -401,6 +401,16 @@ def test_p34x1_vectors_match_published_formula():
             assert _parallel(v, ref, 1e-8), (theta, N, n, m, k)
 
 
+@pytest.mark.parametrize("family,theta,S,t", [("p24y1", 0.7, "R", 30), ("x3", -2.1, "U", 30),
+                                              ("p34x1", 1.3, "L", 60)])
+def test_reconstruction_matches_evolution_at_N201(family, theta, S, t):
+    # the inverse FFT keeps the reconstruction within a few ulp of the direct
+    # walk on a large lattice
+    c = coin_from_theta(family, theta)
+    d = evolve(initial_state(201, S), c, t)
+    assert np.abs(d.amps - reconstruct_state(c, 201, S, t).amps).max() < 2e-15
+
+
 @pytest.mark.parametrize("family", ["p34x1", "p23z1"])
 def test_reconstruction_other_families(family):
     from coinwalk.walk import evolve, initial_state
