@@ -248,7 +248,23 @@ _FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _ActionParser(argparse.ArgumentParser):
+    """An action's parser that reports a flag the action does not read
+    itself, so that the usage line is the action's own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args, extras
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser. When argv starts with a command and one of its
+    actions, only that command's action parsers are built, only that action
+    gets its flags, and it reports a flag it does not read with its own usage
+    line. For any other argv, and without one, the full tree is built, so a
+    help, usage or error message is the same as the full parser's."""
     ap = argparse.ArgumentParser(
         prog="coinwalk",
         description="Permutative orthogonal coins, coined walks on Z_N and "
@@ -283,12 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
             "theorem36": "--grid --quad-M",
         }),
     )
+    named = argv is not None and len(argv) > 1 and any(
+        argv[0] == cmd and argv[1] in actions for cmd, *_, actions in commands)
     sub = ap.add_subparsers(dest="cmd", required=True)
     for cmd, help_, func, overrides, actions in commands:
-        acts = sub.add_parser(cmd, help=help_).add_subparsers(dest="action", required=True)
+        if named and cmd != argv[0]:
+            continue
+        acts = sub.add_parser(cmd, help=help_).add_subparsers(
+            dest="action", required=True,
+            parser_class=_ActionParser if named else argparse.ArgumentParser)
         for action, flags in actions.items():
             pa = acts.add_parser(action)
             pa.set_defaults(func=func)
+            if named and action != argv[1]:
+                continue
             for group in (flags + " --out --format").split():
                 into = pa.add_mutually_exclusive_group(required=True) if "|" in group else pa
                 for flag in group.split("|"):
@@ -297,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

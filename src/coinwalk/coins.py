@@ -148,7 +148,8 @@ class NotPermutativeError(ValueError):
 class Coin:
     """A 4x4 coin matrix with provenance metadata.
 
-    entries is a read-only complex128 copy; exact, when present, carries the
+    entries is a read-only complex128 copy (compact_entries is its float64
+    twin when the coin is exactly real); exact, when present, carries the
     same matrix as Fractions (rational coins are exactly orthogonal in that
     representation). degenerate and unitary are derived from the fields, so
     no constructor call can contradict them. A named family with a theta must
@@ -187,6 +188,20 @@ class Coin:
     def unitary(self) -> bool:
         """is_unitary(entries) at tol 1e-9, computed once per coin."""
         return is_unitary(self.entries)
+
+    @cached_property
+    def compact_entries(self) -> np.ndarray:
+        """entries in the narrowest dtype that holds them exactly, computed
+        once per coin: a read-only float64 copy when every imaginary part is
+        +0.0, else entries itself. A -0.0 imaginary part keeps the coin
+        complex: (a - 0.0i)(c + 0.0i) has the real part a c + 0.0, which is
+        +0.0 where the real product a c is -0.0."""
+        im = self.entries.imag
+        if im.any() or np.signbit(im).any():
+            return self.entries
+        e = self.entries.real.copy()
+        e.setflags(write=False)
+        return e
 
 
 def grover_coin() -> Coin:

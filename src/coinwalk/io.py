@@ -10,7 +10,9 @@ identical runs produce byte-identical files.
 Large row arrays are formatted through one ``%`` template per row shape,
 _CHUNK rows at a time, instead of value by value: the bytes are the same,
 the time is a fraction of json's pure-Python indenting encoder, and memory
-stays flat however many rows there are.
+stays flat however many rows there are. A JSON table column whose values all
+print the same (equal value and type, and for floats equal sign) is written
+into the template as that literal, so a constant column costs no formatting.
 """
 
 from __future__ import annotations
@@ -76,33 +78,57 @@ def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable]) 
             stream.writelines(_csv_chunk([r]) for r in chunk)
 
 
+_FILLED = ("%r", "%s")
+
+
+def _literal(v) -> str:
+    """The JSON of v as a template slot that takes no value."""
+    return json.dumps(v).replace("%", "%%")
+
+
 def _json_column(col) -> str | None:
-    """The template slot of one column of a row table: %r for finite ints
-    and floats, %s for strings (filled with their JSON encoding), None
-    when json must write the table itself."""
+    """The template slot of one column of a row table: the JSON literal of
+    a column whose values all have one repr, else %r for finite ints and
+    floats and %s for strings (filled with their JSON encoding). None when
+    json must write the table itself."""
     types = set(map(type, col))
     if types == {str}:
-        return "%s"
-    if not types <= {int, float}:
+        slot = "%s"
+    elif not types <= {int, float}:
         return None
-    floats = col if types == {float} else [v for v in col if type(v) is float]
-    return "%r" if all(map(math.isfinite, floats)) else None
+    else:
+        floats = col if types == {float} else [v for v in col if type(v) is float]
+        if not all(map(math.isfinite, floats)):
+            return None
+        slot = "%r"
+    # equal values of one type print alike, except 0.0 and -0.0
+    if (len(types) == 1 and col.count(col[0]) == len(col)
+            and (types != {float} or len(set(map(repr, col))) == 1)):
+        return _literal(col[0])
+    return slot
 
 
 def _json_table(v):
     """(slots, chunks) when v is a table the templates write: a 2-D finite
     int or float array, or a non-empty list of equal-length rows whose
     columns are _json_column slots. chunks yields (row count, values row
-    after row) for each run of _CHUNK rows. None for any other value."""
+    after row, of the columns that are not literals) for each run of _CHUNK
+    rows. None for any other value."""
     if isinstance(v, np.ndarray):
         # up to 8 bytes, tolist gives Python scalars, whose %r is what json
         # prints; %r of an np.float64 or np.longdouble is not
         if (v.ndim != 2 or not v.size or v.dtype.kind not in "iuf"
                 or v.dtype.itemsize > 8 or not np.isfinite(v).all()):
             return None
+        # equal bits: equal value and, for floats, equal sign
+        bits = v.view(f"u{v.dtype.itemsize}")
+        const = (bits == bits[0]).all(axis=0)
+        slots = [_literal(x) if c else "%r" for x, c in zip(v[0].tolist(), const)]
+        if const.any():
+            v = v[:, ~const]
         chunks = ((min(_CHUNK, len(v) - i), v[i:i + _CHUNK].ravel().tolist())
                   for i in range(0, len(v), _CHUNK))
-        return ["%r"] * v.shape[1], chunks
+        return slots, chunks
     if not (isinstance(v, (list, tuple)) and v
             and all(isinstance(r, (list, tuple)) for r in v)):
         return None
@@ -115,13 +141,15 @@ def _json_table(v):
 
     def chunks():
         for i in range(0, len(v), _CHUNK):
-            flat = list(chain.from_iterable(v[i:i + _CHUNK]))
-            for j, slot in enumerate(slots):
+            cols = list(zip(*v[i:i + _CHUNK]))
+            filled = []
+            for col, slot in zip(cols, slots):
                 if slot == "%s":
-                    col = flat[j::width]
                     encoded = {s: json.dumps(s) for s in set(col)}
-                    flat[j::width] = map(encoded.__getitem__, col)
-            yield len(flat) // width, flat
+                    col = map(encoded.__getitem__, col)
+                if slot in _FILLED:
+                    filled.append(col)
+            yield len(cols[0]), list(chain.from_iterable(zip(*filled)))
 
     return slots, chunks()
 

@@ -12,6 +12,20 @@ cached flat index, above it eight slice copies (the bulk and the wrapped
 edge of each chirality); both copy the same values, so the two paths agree
 bit for bit. The coin's degenerate and unitary verdicts are cached on the
 Coin, so checking a Coin on every step costs two attribute reads.
+
+Amplitudes are float64 while the coin and the state are real, and complex128
+otherwise. initial_state returns float64 amplitudes and step multiplies by
+Coin.compact_entries, float64 for a coin whose imaginary parts are all +0.0,
+so the four families walk in real arithmetic; a complex coin or a complex
+start promotes the product to complex128 on the first step, through numpy's
+type rules. The real walk has the complex walk's values bit for bit: the
+complex product adds or subtracts only +0.0 * +0.0 terms to each real part,
+and leaves every imaginary part +0.0. Only the sign of an exact zero may
+differ, because it is the GEMM kernel's choice: OpenBLAS's complex kernel
+gives some all-zero sums of its remainder columns a -0.0 real part where the
+real kernel, like the IEEE sum of the products, gives +0.0.
+WalkState.from_vector returns complex128 amplitudes, so a state written into
+in place with complex values starts there.
 """
 
 from __future__ import annotations
@@ -82,9 +96,12 @@ class WalkState:
     """Walker state: amps[s, ix, iy] with ix = x + (N-1)/2, iy = y + (N-1)/2."""
 
     N: int
-    amps: np.ndarray            # (4, N, N) complex
+    amps: np.ndarray            # (4, N, N) float64 or complex128
 
     def norm(self) -> float:
+        """The 2-norm of the amplitudes. For a real state it may differ by an
+        ulp from the norm of the same state held as complex128: BLAS sums
+        the squares of contiguous and of strided data in different orders."""
         return float(np.linalg.norm(self.amps))
 
     def amplitude(self, S: str, x: int, y: int) -> complex:
@@ -103,9 +120,9 @@ class WalkState:
 
 
 def initial_state(N: int, S: str) -> WalkState:
-    """Walker at the origin with coin state |S>."""
+    """Walker at the origin with coin state |S>, in float64 amplitudes."""
     N = _check_lattice(N)
-    amps = np.zeros((4, N, N), dtype=complex)
+    amps = np.zeros((4, N, N))
     half = (N - 1) // 2
     amps[chirality_index(S) - 1, half, half] = 1.0
     return WalkState(N, amps)
@@ -153,7 +170,7 @@ def step(state: WalkState, C) -> WalkState:
     for a coin that _walk_coin rejects; a bare array is checked on every
     call, a Coin once."""
     N = state.N
-    mixed = _walk_coin(C).entries @ state.amps.reshape(4, N * N)
+    mixed = _walk_coin(C).compact_entries @ state.amps.reshape(4, N * N)
     if N <= _GATHER_MAX_N:
         return WalkState(N, mixed.reshape(-1)[_shift_index(N)])
     mixed = mixed.reshape(4, N, N)
@@ -184,7 +201,9 @@ def evolve(state: WalkState, C, t: int) -> WalkState:
 def probability_at(state: WalkState, x: int, y: int) -> float:
     """P_t((x,y)) = sum over chirality of |amplitude|^2."""
     half = _check_coords(x, y, state.N)
-    return float(np.abs(state.amps[:, x + half, y + half] ** 2).sum().real)
+    # np.add.reduce is the reduction .sum() runs, bit for bit, without the
+    # method's Python-level dispatch
+    return float(np.add.reduce(np.abs(state.amps[:, x + half, y + half] ** 2)))
 
 
 def position_distribution(state: WalkState) -> np.ndarray:

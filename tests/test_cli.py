@@ -210,12 +210,15 @@ def test_walk_simulate_dump_state_rejects_csv(capsys):
 
 
 def usage_error(capsys, *argv):
-    """Run main on argv, expecting argparse's usage error: exit 2, a usage
-    line on stderr and nothing on stdout."""
+    """Run main on argv, which starts with a command and its action,
+    expecting argparse's usage error from that action's parser: exit 2, the
+    action's usage line on stderr and nothing on stdout."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == "" and err.startswith("usage: coinwalk")
+    prog = f"coinwalk {argv[0]} {argv[1]}"
+    assert exc.value.code == 2 and out == "" and err.startswith(f"usage: {prog} [-h]")
+    assert f"\n{prog}: error: " in err
 
 
 @pytest.mark.parametrize("action, flag", [("spectrum", "--dump-state"),
@@ -403,6 +406,39 @@ def test_flag_an_action_ignores_exits_2(capsys, argv):
     except SystemExit as exc:
         code = exc.code
     assert code == 2 and capsys.readouterr().out == ""
+
+
+def _action_parsers(parser):
+    """{(command, action): parser} of a parser tree."""
+    import argparse
+
+    def sub(p):
+        return next(a for a in p._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {(c, a): pa for c, pc in sub(parser).items() for a, pa in sub(pc).items()}
+
+
+def test_named_action_parser_equals_full_tree_action_parser():
+    from coinwalk.cli import build_parser
+    full = _action_parsers(build_parser())
+    assert len(full) == 13
+    for (cmd, action), want in full.items():
+        built = _action_parsers(build_parser([cmd, action, "--out", "x"]))
+        # only the named command, and only the named action has flags
+        assert {c for c, _ in built} == {cmd}
+        assert {a for _, a in built} == {a for c, a in full if c == cmd}
+        for (_, a), p in built.items():
+            assert (len(p._actions) > 1) == (a == action)
+        got = built[cmd, action]
+        assert got.prog == want.prog == f"coinwalk {cmd} {action}"
+        assert got.format_help() == want.format_help()
+        assert got.format_usage() == want.format_usage()
+
+
+@pytest.mark.parametrize("argv", [[], ["walk"], ["walk", "sim"], ["simulate", "walk"],
+                                  ["--family", "x3", "walk", "simulate"], None])
+def test_parser_without_a_named_action_is_the_full_tree(argv):
+    from coinwalk.cli import build_parser
+    assert len(_action_parsers(build_parser(argv))) == 13
 
 
 def test_coin_gen_z_branch_needs_r(capsys):

@@ -114,6 +114,45 @@ def test_dump_json_str_table_across_chunk_edges():
     assert_same(dumped(obj), want_json(obj))
 
 
+CONSTANT_COLUMNS = {
+    "zero": (lambda i: 0.0, "0.0"),
+    "minus_zero": (lambda i: -0.0, "-0.0"),
+    "float": (lambda i: -2.5e-300, "-2.5e-300"),
+    "int": (lambda i: -7, "-7"),
+    "str": (lambda i: '50% "done"', json.dumps('50%% "done"')),
+}
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+@pytest.mark.parametrize("kind", sorted(CONSTANT_COLUMNS))
+def test_dump_json_constant_column_is_a_literal(n, kind):
+    value, literal = CONSTANT_COLUMNS[kind]
+    rows = [[i, value(i), 0.5 * i] for i in range(n)]
+    slots, _ = io._json_table(rows)
+    assert slots == ["%r" if n > 1 else "0", literal, "%r" if n > 1 else "0.0"]
+    assert_same(dumped({"rows": rows}), want_json({"rows": rows}))
+    if kind != "str":
+        a = np.array(rows, dtype=np.int64 if kind == "int" else np.float64)
+        assert io._json_table(a)[0][1] == literal
+        assert_same(dumped({"a": a}), want_json({"a": a.tolist()}))
+
+
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097])
+def test_dump_json_mixed_zero_signs_are_not_a_literal(n):
+    # 0.0 == -0.0, but json prints them differently
+    for last in (-0.0, 0.0):
+        rows = [[0.0 if i < n - 1 else last, 1.0] for i in range(n)]
+        rows[0][0] = -last
+        a = np.array(rows)
+        assert io._json_table(rows)[0][0] == "%r"
+        assert io._json_table(a)[0] == ["%r", "1.0"]
+        assert_same(dumped({"rows": rows, "a": a}), want_json({"rows": rows, "a": rows}))
+    # ints and floats of one value print differently too
+    rows = [[1], [1.0]] * (n // 2)
+    assert io._json_table(rows)[0] == ["%r"]
+    assert_same(dumped({"rows": rows}), want_json({"rows": rows}))
+
+
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -395,3 +395,79 @@ def test_evolve_takes_numpy_integer_t(t):
 def test_chirality_profile_rejects_non_integer_T(T):
     with pytest.raises(ValueError, match="T must be an integer"):
         time_averaged_chirality_profile(grover_coin(), 5, "R", T)
+
+
+def _bits_equal(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal values and equal sign bits, so that -0.0 and +0.0 differ."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+FAMILIES = ("p34x1", "p24y1", "p23z1", "x3")
+REAL_THETAS = (-2.9, -math.pi / 2, 0.0, 0.7, 2.5)
+# up to 300 steps; fewer where a step moves more data
+REAL_STEPS = {3: 300, 5: 300, 51: 30, 53: 30, 201: 6}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", sorted(REAL_STEPS))
+def test_real_walk_equals_complex_walk(family, N):
+    # a real coin on a real start walks in float64; the complex128 slice
+    # chain of the same coin and start must give the same values and
+    # imaginary parts that are all +0.0. The sign of an exact zero is the
+    # GEMM kernel's: OpenBLAS's complex kernel gives some all-zero sums of
+    # its remainder columns a -0.0 real part, where the real kernel, like
+    # the IEEE sum of the products, gives +0.0, so zero signs are not compared
+    for theta in REAL_THETAS:
+        coin = coin_from_theta(family, theta)
+        assert coin.compact_entries.dtype == np.float64
+        assert not coin.compact_entries.flags.writeable
+        for S in CHIRALITIES:
+            s = initial_state(N, S)
+            assert s.amps.dtype == np.float64
+            want = s.amps.astype(complex)
+            for _ in range(REAL_STEPS[N]):
+                s = step(s, coin)
+                want = _slice_step(want, coin.entries)
+                assert s.amps.dtype == np.float64
+                assert np.array_equal(s.amps, want.real), (theta, S)
+                assert not want.imag.any() and not np.signbit(want.imag).any()
+            assert _bits_equal(evolve(initial_state(N, S), coin, REAL_STEPS[N]).amps, s.amps)
+
+
+def test_complex_coin_or_start_stays_complex():
+    rng = np.random.default_rng(7)
+    N = 5
+    real_coin = coin_from_theta("p24y1", 0.7)
+    e = real_coin.entries.copy()
+    e.imag[2, 1] = -0.0
+    minus_zero = Coin(e)
+    assert np.signbit(minus_zero.entries.imag).sum() == 1
+    for coin, start in [
+        (Coin(_haar(rng, False)), initial_state(N, "R")),          # complex coin
+        (real_coin, _random_state(rng, N)),                         # complex start
+        (real_coin, WalkState.from_vector(initial_state(N, "U").to_vector(), N)),
+        (minus_zero, initial_state(N, "R")),                        # a -0.0 imaginary part
+    ]:
+        assert evolve(start, coin, 3).amps.dtype == np.complex128
+        assert step(start, coin.entries).amps.dtype == np.complex128
+    assert minus_zero.compact_entries is minus_zero.entries
+    # the complex start from a real vector still walks the same values
+    s = WalkState.from_vector(initial_state(N, "U").to_vector(), N)
+    assert np.array_equal(evolve(s, real_coin, 9).amps,
+                          evolve(initial_state(N, "U"), real_coin, 9).amps)
+
+
+@pytest.mark.parametrize("N", [5, 53])
+def test_real_walk_keeps_profile_and_distribution_bits(N):
+    coin = coin_from_theta("p23z1", -1.2)
+    T, (x, y) = 40, (1, -2)
+    s, c = initial_state(N, "L"), WalkState(N, initial_state(N, "L").amps.astype(complex))
+    ix, iy = x + (N - 1) // 2, y + (N - 1) // 2
+    acc = np.abs(c.amps[:, ix, iy]) ** 2
+    for _ in range(T - 1):
+        s, c = step(s, coin), WalkState(N, _slice_step(c.amps, coin.entries))
+        acc += np.abs(c.amps[:, ix, iy]) ** 2
+        assert _bits_equal(position_distribution(s), position_distribution(c))
+        assert probability_at(s, x, y) == probability_at(c, x, y)
+    assert _bits_equal(time_averaged_chirality_profile(coin, N, "L", T, x, y), acc / T)
