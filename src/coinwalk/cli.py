@@ -260,11 +260,11 @@ class _ActionParser(argparse.ArgumentParser):
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI's parser. When argv starts with a command and one of its
-    actions, only that command's action parsers are built, only that action
-    gets its flags, and it reports a flag it does not read with its own usage
-    line. For any other argv, and without one, the full tree is built, so a
-    help, usage or error message is the same as the full parser's."""
+    """The CLI's parser. Each action's parser reports a flag the action does
+    not read with its own usage line. When argv starts with a command and one
+    of its actions, only that action's parser is built; for any other argv,
+    and without one, the full tree is built, so a help, usage or error message
+    is the same as the full parser's."""
     ap = argparse.ArgumentParser(
         prog="coinwalk",
         description="Permutative orthogonal coins, coined walks on Z_N and "
@@ -299,20 +299,17 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             "theorem36": "--grid --quad-M",
         }),
     )
-    named = argv is not None and len(argv) > 1 and any(
-        argv[0] == cmd and argv[1] in actions for cmd, *_, actions in commands)
+    for cmd, help_, func, overrides, actions in commands:
+        if argv is not None and len(argv) > 1 and argv[0] == cmd and argv[1] in actions:
+            commands = ((cmd, help_, func, overrides, {argv[1]: actions[argv[1]]}),)
+            break
     sub = ap.add_subparsers(dest="cmd", required=True)
     for cmd, help_, func, overrides, actions in commands:
-        if named and cmd != argv[0]:
-            continue
         acts = sub.add_parser(cmd, help=help_).add_subparsers(
-            dest="action", required=True,
-            parser_class=_ActionParser if named else argparse.ArgumentParser)
+            dest="action", required=True, parser_class=_ActionParser)
         for action, flags in actions.items():
             pa = acts.add_parser(action)
             pa.set_defaults(func=func)
-            if named and action != argv[1]:
-                continue
             for group in (flags + " --out --format").split():
                 into = pa.add_mutually_exclusive_group(required=True) if "|" in group else pa
                 for flag in group.split("|"):

@@ -78,9 +78,6 @@ def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable]) 
             stream.writelines(_csv_chunk([r]) for r in chunk)
 
 
-_FILLED = ("%r", "%s")
-
-
 def _literal(v) -> str:
     """The JSON of v as a template slot that takes no value."""
     return json.dumps(v).replace("%", "%%")
@@ -101,8 +98,9 @@ def _json_column(col) -> str | None:
         if not all(map(math.isfinite, floats)):
             return None
         slot = "%r"
-    # equal values of one type print alike, except 0.0 and -0.0
-    if (len(types) == 1 and col.count(col[0]) == len(col)
+    # equal values of one type print alike, except 0.0 and -0.0; the last
+    # value turns most columns down before count reads them all
+    if (len(types) == 1 and col[-1] == col[0] and col.count(col[0]) == len(col)
             and (types != {float} or len(set(map(repr, col))) == 1)):
         return _literal(col[0])
     return slot
@@ -139,17 +137,21 @@ def _json_table(v):
     if None in slots:
         return None
 
+    literals = [j for j, slot in enumerate(slots) if slot not in ("%r", "%s")]
+
     def chunks():
         for i in range(0, len(v), _CHUNK):
-            cols = list(zip(*v[i:i + _CHUNK]))
-            filled = []
-            for col, slot in zip(cols, slots):
+            flat = list(chain.from_iterable(v[i:i + _CHUNK]))
+            for j, slot in enumerate(slots):
                 if slot == "%s":
+                    col = flat[j::width]
                     encoded = {s: json.dumps(s) for s in set(col)}
-                    col = map(encoded.__getitem__, col)
-                if slot in _FILLED:
-                    filled.append(col)
-            yield len(cols[0]), list(chain.from_iterable(zip(*filled)))
+                    flat[j::width] = map(encoded.__getitem__, col)
+            n = len(flat) // width
+            # the last literal column first, so the earlier ones keep their index
+            for k, j in enumerate(reversed(literals)):
+                del flat[j::width - k]
+            yield n, flat
 
     return slots, chunks()
 

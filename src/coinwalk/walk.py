@@ -18,12 +18,14 @@ otherwise. initial_state returns float64 amplitudes and step multiplies by
 Coin.compact_entries, float64 for a coin whose imaginary parts are all +0.0,
 so the four families walk in real arithmetic; a complex coin or a complex
 start promotes the product to complex128 on the first step, through numpy's
-type rules. The real walk has the complex walk's values bit for bit: the
-complex product adds or subtracts only +0.0 * +0.0 terms to each real part,
-and leaves every imaginary part +0.0. Only the sign of an exact zero may
-differ, because it is the GEMM kernel's choice: OpenBLAS's complex kernel
-gives some all-zero sums of its remainder columns a -0.0 real part where the
-real kernel, like the IEEE sum of the products, gives +0.0.
+type rules. The complex product of real factors adds only +0.0 * +0.0 terms
+to each real part and leaves every imaginary part +0.0, so the real walk has
+the complex walk's values bit for bit wherever the BLAS sums a real and a
+complex product in the same order, as OpenBLAS's x86-64 kernels for AVX and
+later do; its SSE kernels (Nehalem) round the two differently, to 2e-15. The
+sign of an exact zero is the GEMM kernel's choice: OpenBLAS's AVX-512
+complex kernel gives some all-zero sums a -0.0 real part, where its real
+kernel, and its AVX and AVX2 kernels of both kinds, give +0.0.
 WalkState.from_vector returns complex128 amplitudes, so a state written into
 in place with complex values starts there.
 """

@@ -423,15 +423,24 @@ def test_named_action_parser_equals_full_tree_action_parser():
     assert len(full) == 13
     for (cmd, action), want in full.items():
         built = _action_parsers(build_parser([cmd, action, "--out", "x"]))
-        # only the named command, and only the named action has flags
-        assert {c for c, _ in built} == {cmd}
-        assert {a for _, a in built} == {a for c, a in full if c == cmd}
-        for (_, a), p in built.items():
-            assert (len(p._actions) > 1) == (a == action)
+        # only the named action's parser is built
+        assert list(built) == [(cmd, action)]
         got = built[cmd, action]
         assert got.prog == want.prog == f"coinwalk {cmd} {action}"
         assert got.format_help() == want.format_help()
         assert got.format_usage() == want.format_usage()
+
+
+def test_full_tree_reports_a_foreign_flag_with_the_action_usage(capsys):
+    # build_parser() without argv, as a library caller builds it
+    from coinwalk.cli import build_parser
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["walk", "spectrum", "--family", "x3", "--theta", "1",
+                                   "--N", "5", "--dump-state"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: coinwalk walk spectrum [-h]")
+    assert err.endswith("coinwalk walk spectrum: error: unrecognized arguments: --dump-state\n")
 
 
 @pytest.mark.parametrize("argv", [[], ["walk"], ["walk", "sim"], ["simulate", "walk"],

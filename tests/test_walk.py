@@ -314,15 +314,18 @@ def test_step_equals_slice_step_bit_for_bit(N, real):
     rng = np.random.default_rng([N, real])
     C = _haar(rng, real)
     coin = Coin(C)
+    # the slice chain multiplies by the coin step multiplies by, so that it
+    # runs the same GEMM (test_real_walk_equals_complex_walk compares the
+    # float64 product of a real start with the complex128 one)
     for s in (_random_state(rng, N), initial_state(N, "D")):
         want = s.amps
         for _ in range(4):
-            want = _slice_step(want, coin.entries)
+            want = _slice_step(want, coin.compact_entries)
             s = step(s, coin)
             assert s.amps.shape == (4, N, N)
             assert np.array_equal(s.amps, want)
         # a bare array takes the same route
-        assert np.array_equal(step(s, C).amps, _slice_step(s.amps, coin.entries))
+        assert np.array_equal(step(s, C).amps, _slice_step(s.amps, coin.compact_entries))
 
 
 @pytest.mark.parametrize("N", [3, 5, 65])
@@ -403,6 +406,33 @@ def _bits_equal(got: np.ndarray, want: np.ndarray) -> bool:
             and np.array_equal(np.signbit(got), np.signbit(want)))
 
 
+def _blas_rounds_real_as_complex() -> bool:
+    """Whether this BLAS rounds a real 4x4 @ (4, n) product as it rounds the
+    same product held in complex128. OpenBLAS's x86-64 kernels for AVX and
+    later (Sandybridge, Haswell, Zen, SkylakeX) do; its SSE kernels
+    (Nehalem, Atom, Barcelona) sum the real product in another order."""
+    rng = np.random.default_rng(0)
+    C, A = rng.standard_normal((4, 4)), rng.standard_normal((4, 39))
+    return np.array_equal(C @ A, (C.astype(complex) @ A.astype(complex)).real)
+
+
+REAL_ROUNDS_AS_COMPLEX = _blas_rounds_real_as_complex()
+
+
+def _assert_real_walk_agrees(real, cplx):
+    """The real walk's values are the complex walk's bit for bit where the
+    BLAS rounds the two products alike, else equal to roundoff (at most
+    2.4e-15 over test_real_walk_equals_complex_walk's grid on OpenBLAS's
+    Nehalem kernel). Equal values have equal signs, except that an exact
+    zero's sign is the GEMM kernel's: OpenBLAS's AVX-512 (SkylakeX) complex
+    kernel gives some all-zero sums a -0.0 real part, where its real kernel
+    and its Haswell and Sandybridge kernels of both kinds give +0.0."""
+    if REAL_ROUNDS_AS_COMPLEX:
+        assert np.array_equal(real, cplx)
+    else:
+        np.testing.assert_allclose(real, cplx, rtol=0, atol=1e-13)
+
+
 FAMILIES = ("p34x1", "p24y1", "p23z1", "x3")
 REAL_THETAS = (-2.9, -math.pi / 2, 0.0, 0.7, 2.5)
 # up to 300 steps; fewer where a step moves more data
@@ -414,10 +444,7 @@ REAL_STEPS = {3: 300, 5: 300, 51: 30, 53: 30, 201: 6}
 def test_real_walk_equals_complex_walk(family, N):
     # a real coin on a real start walks in float64; the complex128 slice
     # chain of the same coin and start must give the same values and
-    # imaginary parts that are all +0.0. The sign of an exact zero is the
-    # GEMM kernel's: OpenBLAS's complex kernel gives some all-zero sums of
-    # its remainder columns a -0.0 real part, where the real kernel, like
-    # the IEEE sum of the products, gives +0.0, so zero signs are not compared
+    # imaginary parts that are all +0.0
     for theta in REAL_THETAS:
         coin = coin_from_theta(family, theta)
         assert coin.compact_entries.dtype == np.float64
@@ -430,7 +457,7 @@ def test_real_walk_equals_complex_walk(family, N):
                 s = step(s, coin)
                 want = _slice_step(want, coin.entries)
                 assert s.amps.dtype == np.float64
-                assert np.array_equal(s.amps, want.real), (theta, S)
+                _assert_real_walk_agrees(s.amps, want.real)
                 assert not want.imag.any() and not np.signbit(want.imag).any()
             assert _bits_equal(evolve(initial_state(N, S), coin, REAL_STEPS[N]).amps, s.amps)
 
@@ -454,8 +481,8 @@ def test_complex_coin_or_start_stays_complex():
     assert minus_zero.compact_entries is minus_zero.entries
     # the complex start from a real vector still walks the same values
     s = WalkState.from_vector(initial_state(N, "U").to_vector(), N)
-    assert np.array_equal(evolve(s, real_coin, 9).amps,
-                          evolve(initial_state(N, "U"), real_coin, 9).amps)
+    _assert_real_walk_agrees(evolve(initial_state(N, "U"), real_coin, 9).amps,
+                             evolve(s, real_coin, 9).amps)
 
 
 @pytest.mark.parametrize("N", [5, 53])
@@ -468,6 +495,7 @@ def test_real_walk_keeps_profile_and_distribution_bits(N):
     for _ in range(T - 1):
         s, c = step(s, coin), WalkState(N, _slice_step(c.amps, coin.entries))
         acc += np.abs(c.amps[:, ix, iy]) ** 2
-        assert _bits_equal(position_distribution(s), position_distribution(c))
-        assert probability_at(s, x, y) == probability_at(c, x, y)
-    assert _bits_equal(time_averaged_chirality_profile(coin, N, "L", T, x, y), acc / T)
+        # sums of squares: equal values are equal bits
+        _assert_real_walk_agrees(position_distribution(s), position_distribution(c))
+        _assert_real_walk_agrees(probability_at(s, x, y), probability_at(c, x, y))
+    _assert_real_walk_agrees(time_averaged_chirality_profile(coin, N, "L", T, x, y), acc / T)
