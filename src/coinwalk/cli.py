@@ -96,7 +96,7 @@ def cmd_coin(args) -> int:
     obj = {
         "orthogonal": coins.is_orthogonal(A, args.tol),
         "permutative": coins.is_permutative(A, args.tol),
-        "orthogonality_residual": float(np.abs(A.T @ A - np.eye(4)).max()),
+        "orthogonality_residual": coins.orthogonality_residual(A),
     }
     _emit_fields(args, obj)
     return EXIT_OK
@@ -159,27 +159,16 @@ def cmd_walk(args) -> int:
         obj = {"family": args.family, "theta": args.theta, "N": args.N, "rows": rows}
         _emit(args, obj, header, rows)
         return EXIT_OK
-    # simulate: reject what the walk does not cover before any output;
-    # evolve checks the coin even at t = 0
+    # simulate: --at is read first, then walk.simulate checks N, S, the
+    # coin, T and the vertex, all before any output
     if args.dump_state and args.format != "json":
         raise ValueError("--dump-state needs --format json")
-    state = walk.evolve(walk.initial_state(args.N, args.S), coin, 0)
-    if args.T < 1:
-        raise ValueError("T must be >= 1")
     try:
         x, y = (int(v) for v in args.at.split(","))
     except ValueError:
         raise ValueError(f"--at expects two integers x,y, got {args.at!r}") from None
-    rows = []
-    acc = 0.0
-    for t in range(args.T + 1):
-        p = walk.probability_at(state, x, y)
-        if t < args.T:
-            acc += p
-        rows.append((t, x, y, p))
-        if t < args.T:
-            state = walk.step(state, coin)
-    pbar = acc / args.T
+    probs, pbar, state = walk.simulate(coin, args.N, args.S, args.T, x, y)
+    rows = [(t, x, y, p) for t, p in enumerate(probs)]
     obj = {
         "family": args.family, "theta": args.theta, "N": args.N, "T": args.T,
         "S": args.S, "at": [x, y],

@@ -50,7 +50,8 @@ __all__ = [
     "Coin", "FamilyWitness", "NotOrthogonalError", "NotPermutativeError",
     "COIN_FAMILIES", "SET_TAGS",
     "grover_coin", "coin_from_theta", "coin_rational", "build_permutative",
-    "is_orthogonal", "is_unitary", "is_permutative", "classify",
+    "orthogonality_residual", "is_orthogonal", "is_unitary", "is_permutative",
+    "classify",
     "set_member_from_theta", "in_pattern_set",
     "chain_ids", "chain_sets", "group_closure_sample",
     "coin_to_json", "coin_from_json",
@@ -294,16 +295,24 @@ def build_permutative(x_row, P, Q, R) -> Coin:
     return Coin(np.stack(rows), family="raw")
 
 
+def orthogonality_residual(A, conjugate: bool = False) -> float:
+    """max |A^T A - I|, or max |A^H A - I| with conjugate. A real A is
+    multiplied in real arithmetic, anything else as complex."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "fc":
+        A = A.astype(complex)
+    G = (A.conj().T if conjugate else A.T) @ A
+    return float(np.abs(G - (_EYE4 if len(A) == 4 else np.eye(len(A)))).max())
+
+
 def is_orthogonal(A, tol: float = 1e-9) -> bool:
     """max |A^T A - I| <= tol (transpose, not conjugate: complex orthogonal)."""
-    A = np.asarray(A, dtype=complex)
-    return bool(np.abs(A.T @ A - (_EYE4 if len(A) == 4 else np.eye(len(A)))).max() <= tol)
+    return orthogonality_residual(A) <= tol
 
 
 def is_unitary(A, tol: float = 1e-9) -> bool:
     """max |A^H A - I| <= tol (conjugate transpose: the walk preserves norm)."""
-    A = np.asarray(A, dtype=complex)
-    return bool(np.abs(A.conj().T @ A - _EYE4).max() <= tol)
+    return orthogonality_residual(A, conjugate=True) <= tol
 
 
 def is_permutative(A, tol: float = 1e-9) -> bool:

@@ -265,11 +265,12 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) ->
     """Random orthogonal matrices inside span of the named permutations.
 
     Up to 60 batched Gauss-Newton steps from random starts, each step on
-    the starts whose max |A^T A - I| is still above 1e-14; starts left
-    above 1e-12 are dropped. trials is an integer >= 0 (numpy integers
-    pass). Returns an array (k, 4, 4). Near a corner of
-    the variety A converges at square-root precision, so stopping at 1e-12
-    would leave entries about 1e-6 off the corner; 1e-14 leaves about 1e-7.
+    the starts whose max |A^T A - I| is still above 1e-14 and, once at or
+    below 1e-12, still falling; starts left above 1e-12 are dropped. trials
+    is an integer >= 0 (numpy integers pass). Returns an array (k, 4, 4).
+    Near a corner of the variety A converges at square-root precision, and
+    slowly (35 steps or more from 1e-12 to 1e-14), so stopping at 1e-12 would
+    leave entries about 1e-6 off the corner; 1e-14 leaves about 1e-7.
     """
     trials = _check_count(trials, 0, "trials")
     gens = np.stack([perm_matrix(n) for n in names])
@@ -280,12 +281,15 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) ->
     # J[b, l] = d(A^T A)[triu]/dc_l = c[b] . X[:, l][triu], and A^T A = J c / 2
     X = _cross_terms(gens)[:, :, iu[0], iu[1]].reshape(d, d * 10)
     eye = np.eye(4)[iu]
-    live = np.arange(trials)
+    live, last = np.arange(trials), np.inf
     for _ in range(60):
         J = (c[live] @ X).reshape(-1, d, 10)
         f = 0.5 * (c[live, None, :] @ J)[:, 0] - eye
-        going = np.abs(f).max(axis=1) > 1e-14
-        live, J, f = live[going], J[going], f[going]
+        r = np.abs(f).max(axis=1)
+        # a start accepted already (<= 1e-12) whose residual did not fall
+        # has reached rounding; above 1e-12 a damped step may rise for a while
+        going = (r > 1e-14) & ((r < last) | (r > 1e-12))
+        live, J, f, last = live[going], J[going], f[going], r[going]
         if not len(live):
             break
         # Levenberg-Marquardt damping keeps rank-deficient starts solvable

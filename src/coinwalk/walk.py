@@ -6,6 +6,12 @@ chirality axis and then shifts: R pulls from x-1, L from x+1, U from y-1,
 D from y+1. This is the amplitude-update form of the evolution; it serves as
 the brute-force oracle for the spectral machinery.
 
+simulate owns the walk in time: it checks N, S, the coin and T, then takes
+T steps from the origin, reads P_t at one vertex with probability_at before
+each step and after the last, and averages P_0..P_{T-1} by adding them in t
+order. `walk simulate` prints what it returns, and time_averaged_probability
+is its average. Every |amplitude|^2 of the module is _abs2, np.abs(a ** 2).
+
 A step is one GEMM, the 4x4 coin times the (4, N^2) amplitudes, and one
 periodic shift. Up to N = _GATHER_MAX_N the shift is one gather through a
 cached flat index, above it eight slice copies (the bulk and the wrapped
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -43,7 +50,7 @@ __all__ = [
     "CHIRALITIES", "chirality_index",
     "index_of", "coords_of", "WalkState", "initial_state",
     "step", "evolve", "probability_at", "position_distribution",
-    "time_averaged_probability", "time_averaged_chirality_profile",
+    "simulate", "time_averaged_probability", "time_averaged_chirality_profile",
 ]
 
 CHIRALITIES = ("R", "L", "U", "D")
@@ -147,10 +154,13 @@ def _walk_coin(C) -> Coin:
 
 
 # The gather reads an 8-byte index per amplitude; the slices cost eight
-# copies whatever N is. Whole step, one BLAS thread, 2-core Xeon, numpy 2.4,
-# three runs: N = 5 3.5-3.9 us gathered against 9.7-11.6 us sliced, N = 47
-# 26-41 against 30-42 us; the two cross between N = 51 and 59, and at N = 201
-# the gather is slower (659-818 against 599-754 us).
+# copies whatever N is. Whole float64 step, one BLAS thread, 2-core Xeon,
+# numpy 2.4, best of 5 in each of three runs: N = 5 2.3-4.0 us gathered
+# against 6.2-10.7 us sliced, N = 31 7.0-11.6 against 9.6-15.4 us; the two
+# cross near N = 41, at N = 47-51 the slices are 10-20 % faster, and at
+# N = 201 the gather is much slower (367-392 against 220-237 us). The bound
+# was set on complex128 steps, which crossed between N = 51 and 59; no
+# benchmark leg has an N between 41 and 51 to show a move.
 _GATHER_MAX_N = 51
 
 
@@ -200,37 +210,79 @@ def evolve(state: WalkState, C, t: int) -> WalkState:
     return state
 
 
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 entry by entry, the module's one such expression: a probability,
+    a chirality profile and a distribution square the same way."""
+    return np.abs(a ** 2)
+
+
 def probability_at(state: WalkState, x: int, y: int) -> float:
     """P_t((x,y)) = sum over chirality of |amplitude|^2."""
     half = _check_coords(x, y, state.N)
     # np.add.reduce is the reduction .sum() runs, bit for bit, without the
     # method's Python-level dispatch
-    return float(np.add.reduce(np.abs(state.amps[:, x + half, y + half] ** 2)))
+    return float(np.add.reduce(_abs2(state.amps[:, x + half, y + half])))
 
 
 def position_distribution(state: WalkState) -> np.ndarray:
     """(N, N) array of vertex probabilities indexed by (ix, iy)."""
-    return (np.abs(state.amps) ** 2).sum(axis=0)
+    return _abs2(state.amps).sum(axis=0)
+
+
+def _start(C, N: int, S: str, T: int) -> tuple[WalkState, Coin, int]:
+    """The walk's start at the origin in coin state |S>, its coin and T,
+    checked in that order: N, S, the coin, then T."""
+    state = initial_state(N, S)
+    C = _walk_coin(C)
+    n = _index(T)
+    if n is None:
+        raise ValueError(f"T must be an integer, got {T!r}")
+    if n < 1:
+        raise ValueError("T must be >= 1")     # an average over no steps
+    return state, C, n
+
+
+def _orbit(state: WalkState, C: Coin):
+    """state, then the state after each further step, without end: a step
+    is taken only when the next state is asked for."""
+    while True:
+        yield state
+        state = step(state, C)
+
+
+def _time_average(values, T: int):
+    """(1/T) times the sum of the first T values, added in t order: a float
+    for floats, an array for arrays. Not sum(), whose float rounding
+    changed in Python 3.12."""
+    acc = 0.0
+    for v in islice(values, T):
+        acc += v
+    return acc / T
+
+
+def simulate(C, N: int, S: str, T: int, x: int = 0, y: int = 0
+             ) -> tuple[list[float], float, WalkState]:
+    """The walk started at the origin in coin state |S>, read at (x,y) for
+    t = 0..T: returns [P_0, ..., P_T], their time average (1/T) sum_{t<T} P_t
+    and the state at t = T. Checks N, S, the coin, T and then (x,y) before
+    the first step, and takes T steps, each followed by one probability_at."""
+    state, C, T = _start(C, N, S, T)
+    probs = []
+    for state in islice(_orbit(state, C), T + 1):
+        probs.append(probability_at(state, x, y))
+    return probs, _time_average(probs, T), state
 
 
 def time_averaged_probability(C, N: int, S: str, x: int, y: int, T: int) -> float:
     """(1/T) sum_{t=0}^{T-1} P_t((x,y)) for the walk started at the origin
-    in coin state |S>."""
-    return float(time_averaged_chirality_profile(C, N, S, T, x, y).sum())
+    in coin state |S>: simulate's average, bit for bit."""
+    return simulate(C, N, S, T, x, y)[1]
 
 
 def time_averaged_chirality_profile(C, N: int, S: str, T: int,
                                     x: int = 0, y: int = 0) -> np.ndarray:
-    """Per-chirality time-averaged probabilities at a vertex, (4,) array
-    ordered R, L, U, D. Raises ValueError for T < 1, a T that is not an
-    integer and a rejected coin."""
-    T = _check_count(T, 1, "T")
-    C = _walk_coin(C)
-    state = initial_state(N, S)
+    """Per-chirality time-averaged probabilities at a vertex over t < T,
+    (4,) array ordered R, L, U, D. Checks its arguments as simulate does."""
+    state, C, T = _start(C, N, S, T)
     half = _check_coords(x, y, N)
-    ix, iy = x + half, y + half
-    acc = np.abs(state.amps[:, ix, iy]) ** 2
-    for _ in range(T - 1):
-        state = step(state, C)
-        acc += np.abs(state.amps[:, ix, iy]) ** 2
-    return acc / T
+    return _time_average((_abs2(s.amps[:, x + half, y + half]) for s in _orbit(state, C)), T)

@@ -25,7 +25,8 @@ def test_coins_public_names_frozen():
         "Coin", "FamilyWitness", "NotOrthogonalError", "NotPermutativeError",
         "COIN_FAMILIES", "SET_TAGS",
         "grover_coin", "coin_from_theta", "coin_rational", "build_permutative",
-        "is_orthogonal", "is_unitary", "is_permutative", "classify",
+        "orthogonality_residual", "is_orthogonal", "is_unitary", "is_permutative",
+        "classify",
         "set_member_from_theta", "in_pattern_set",
         "chain_ids", "chain_sets", "group_closure_sample",
         "coin_to_json", "coin_from_json",
@@ -90,6 +91,7 @@ PARAMETERS = {
         "coin_from_theta": ["family", "theta"],
         "coin_rational": ["tag", "r", "z_branch"],
         "build_permutative": ["x_row", "P", "Q", "R"],
+        "orthogonality_residual": ["A", "conjugate"],
         "is_orthogonal": ["A", "tol"],
         "is_unitary": ["A", "tol"],
         "is_permutative": ["A", "tol"],
@@ -139,6 +141,7 @@ PARAMETERS = {
         "evolve": ["state", "C", "t"],
         "probability_at": ["state", "x", "y"],
         "position_distribution": ["state"],
+        "simulate": ["C", "N", "S", "T", "x", "y"],
         "time_averaged_probability": ["C", "N", "S", "x", "y", "T"],
         "time_averaged_chirality_profile": ["C", "N", "S", "T", "x", "y"],
     },

@@ -269,6 +269,22 @@ def test_walk_simulate_calls_step_and_probability_per_step(capsys, monkeypatch):
     assert counts == {"step": 7, "probability_at": 8}
 
 
+@pytest.mark.parametrize("family", ["p34x1", "p24y1", "p23z1", "x3"])
+def test_walk_simulate_prints_the_library_time_average(capsys, family):
+    # the CLI is a view of walk.simulate, so its average is the library's bit for bit
+    from coinwalk import coins, walk
+    for theta in (0.7, -2.0, 1.3):
+        coin = coins.coin_from_theta(family, theta)
+        for S in walk.CHIRALITIES:
+            for x, y in ((0, 0), (1, -1)):
+                code, out = run(capsys, "walk", "simulate", "--family", family,
+                                f"--theta={theta!r}", "--N", "9", "--T", "97", "--S", S,
+                                f"--at={x},{y}")
+                assert code == 0
+                want = walk.time_averaged_probability(coin, 9, S, x, y, 97)
+                assert json.loads(out)["time_averaged"] == want, (theta, S, x, y)
+
+
 def _parent_coefficient_rows(coin, N):
     # the per-row route: one c_coefficient call, so one eigensystem lookup, per row
     from coinwalk.spectral import _family_theta, c_coefficient

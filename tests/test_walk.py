@@ -16,6 +16,7 @@ from coinwalk.walk import (
     initial_state,
     position_distribution,
     probability_at,
+    simulate,
     step,
     time_averaged_chirality_profile,
     time_averaged_probability,
@@ -220,6 +221,38 @@ def test_chirality_profile_steps_once_per_averaged_state(monkeypatch):
 def test_chirality_profile_checks_coin():
     with pytest.raises(ValueError, match="unitary"):
         time_averaged_chirality_profile(np.eye(4) * 1.001, 5, "R", 1)
+
+
+@pytest.mark.parametrize("N, T", [(5, 1), (7, 40), (53, 6)])
+def test_simulate_reads_the_evolved_states(N, T):
+    coin = coin_from_theta("p23z1", 1.3)
+    probs, pbar, state = simulate(coin, N, "D", T, 1, -1)
+    states = [evolve(initial_state(N, "D"), coin, t) for t in range(T + 1)]
+    assert probs == [probability_at(s, 1, -1) for s in states]
+    assert np.array_equal(state.amps, states[-1].amps)
+    acc = 0.0
+    for p in probs[:T]:
+        acc += p
+    assert pbar == acc / T == time_averaged_probability(coin, N, "D", 1, -1, T)
+
+
+@pytest.mark.parametrize("walk_fn", [
+    simulate,
+    lambda C, N, S, T, x, y: time_averaged_probability(C, N, S, x, y, T),
+    lambda C, N, S, T, x, y: time_averaged_chirality_profile(C, N, S, T, x, y),
+])
+def test_walk_checks_lattice_chirality_coin_T_then_vertex(walk_fn):
+    bad_coin, coin = np.eye(4) * 1.001, grover_coin()
+    for args, match in [
+        ((bad_coin, 4, "Q", 0, 9, 9), "lattice side must be odd"),
+        ((bad_coin, 5, "Q", 0, 9, 9), "chirality must be one of"),
+        ((bad_coin, 5, "R", 0, 9, 9), "unitary"),
+        ((coin, 5, "R", 0, 9, 9), "^T must be >= 1$"),
+        ((coin, 5, "R", 2.0, 9, 9), "^T must be an integer, got 2.0$"),
+        ((coin, 5, "R", 1, 9, 9), "outside the centered lattice"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            walk_fn(*args)
 
 
 def test_coin_unitarity_checked_once(monkeypatch):
