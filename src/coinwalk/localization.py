@@ -42,6 +42,7 @@ order, on the calling thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,8 +92,11 @@ _GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")   # Theorem 3.6: diagonal 1/8
 _ROUNDING_FLOOR = 1e-13
 
 
+@lru_cache(maxsize=1)
 def _integrals(family: str, theta: float, M: int) -> np.ndarray:
     """I[a, b] = lambda = -1 class-sum integral of v_a conj(v_b), all 16 pairs.
+    The last result is kept, read-only: a value and its convergence_delta
+    read the same M-node integrals.
 
     The class sum runs over the momentum-sign variants ex, ey in {e, conj e}.
     px depends on x alone, qy on y alone, and both have real coefficients, so
@@ -122,7 +126,9 @@ def _integrals(family: str, theta: float, M: int) -> np.ndarray:
     G = (R * T[:, None, :]) @ R.T                               # (2, 8, 8)
     S = G[:, :4, :4] + G[:, 4:, 4:]                 # sum_x w T+- Re(px_a conj px_b)
     I = (P[:, :, None] * P[:, None, :] * S).sum(axis=0) / (2 * M)
-    return np.triu(I) + np.triu(I, 1).T
+    I = np.triu(I) + np.triu(I, 1).T
+    I.setflags(write=False)
+    return I
 
 
 def pbar_matrix(family: str, theta: float, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
@@ -160,8 +166,9 @@ def convergence_delta(family: str, theta: float, quad: QuadratureSpec) -> float:
     """Largest pairwise change when halving the node count. M must be at
     least 32, so that M / 2 is a rule of its own."""
     M = _check_count(quad.M, 32, "quadrature nodes per axis of the halving check")
-    coarse = pbar_matrix(family, theta, QuadratureSpec(M // 2))
+    # fine first: right after a value at M, its integrals are the cached ones
     fine = pbar_matrix(family, theta, quad)
+    coarse = pbar_matrix(family, theta, QuadratureSpec(M // 2))
     return float(np.abs(fine - coarse).max())
 
 

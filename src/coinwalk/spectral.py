@@ -15,6 +15,17 @@ block whose formula denominator degenerates or whose eigenvalues collide is
 matched onto its closed-form eigenvalues, and every block of a raw coin is
 sorted by eigenvalue angle in (-pi, pi].
 
+Every family coin is real, so conj D_{n,m} = D_{N-n,N-m} gives
+U(N-n, N-m) = conj U(n, m): conjugation takes an eigenpair (lam, v) to
+(conj lam, conj v), so k = 1, 2 keep their places and k = 3, 4 swap, and it
+leaves |U v - lam v| as it is. The closed-form vectors, their norms and their
+residual checks are evaluated on rows n <= (N-1)/2 only, _ROWS rows at a
+time; row N - n is row n with m taken to N - m, conjugated, k = 3, 4
+swapped, and a mirrored block takes its source block's residual verdict.
+The eigenvalues, the collision test, the blocks and the _dense_eig fallback
+stay on the full grid, so the eigenvalues are the ones the closed form gives
+at every (n, m).
+
 coin_eigensystem is one route for every coin: a raw coin is the case where
 every block falls back, so one _dense_eig call serves both. It keeps one
 eigensystem, the last, keyed by (family, theta, N) for a family coin and by
@@ -48,6 +59,9 @@ __all__ = [
 
 _RESID_TOL = 1e-11
 _DEGEN_TOL = 1e-9
+# rows n per chunk of the closed-form build: at N = 201 its (16, N, 4, 4)
+# complex temporaries are 0.8 MB each
+_ROWS = 16
 
 
 def _family_theta(coin) -> tuple[str, float] | None:
@@ -204,6 +218,36 @@ def _closed_form_vecs(family: str, theta: float, lams: np.ndarray, wn, wm) -> np
     return vecs
 
 
+def _closed_form_half(family: str, theta: float, C: np.ndarray, lams: np.ndarray,
+                      w: np.ndarray, d: np.ndarray):
+    """Unit closed-form eigenvectors (N, N, 4, 4) and the blocks whose
+    vectors fail the norm or residual check, (N, N) bool. Rows n <= (N-1)/2
+    are solved, _ROWS at a time; row N - n is row n mirrored."""
+    N = len(w)
+    half = (N - 1) // 2
+    vecs = np.empty((N, N, 4, 4), dtype=complex)
+    failed = np.empty((N, N), dtype=bool)
+    for n0 in range(0, half + 1, _ROWS):
+        rows = slice(n0, min(n0 + _ROWS, half + 1))
+        v = _closed_form_vecs(family, theta, lams[rows], w[rows, None], w[None, :])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            norms = np.sqrt((v.real**2 + v.imag**2).sum(axis=-1))
+            v = v / norms[..., None]
+            # U v = d * (C v): one GEMM over the chunk's vectors
+            err = (v.reshape(-1, 4) @ C.T).reshape(v.shape) * d[rows, :, None, :]
+            err -= lams[rows, :, :, None] * v
+            resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
+        ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
+        vecs[rows], failed[rows] = v, ~ok.all(axis=-1)
+    # row N - n is row n at m -> N - m, conjugated, with k = 3, 4 swapped
+    m = -np.arange(N) % N
+    mirrored = vecs[half + 1:]
+    np.conjugate(vecs[half:0:-1, m], out=mirrored)
+    mirrored[:, :, 2:] = mirrored[:, :, :1:-1]
+    failed[half + 1:] = failed[half:0:-1, m]
+    return vecs, failed
+
+
 @lru_cache(maxsize=1)
 def _eigensystem(family: str | None, theta, N: int):
     """coin_eigensystem; a raw coin has family None and its entries' bytes as theta."""
@@ -215,18 +259,8 @@ def _eigensystem(family: str | None, theta, N: int):
     else:
         C = coin_from_theta(family, theta).entries
         zn = 2 * np.pi * np.arange(N) / N
-        w = np.exp(1j * zn)
         lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])  # (N,N,4)
-        vecs = _closed_form_vecs(family, theta, lams, w[:, None], w[None, :])  # [n,m,k,:]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            norms = np.sqrt((vecs.real**2 + vecs.imag**2).sum(axis=-1))
-            vecs = vecs / norms[..., None]
-            # U v = d * (C v): one GEMM over all N^2 * 4 vectors
-            err = (vecs.reshape(-1, 4) @ C.T).reshape(vecs.shape) * d[:, :, None, :]
-            err -= lams[..., None] * vecs
-            resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
-        ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
-        bad = ~ok.all(axis=-1)
+        vecs, bad = _closed_form_half(family, theta, C, lams, np.exp(1j * zn), d)
         for a, b in zip(*np.triu_indices(4, 1)):
             bad |= np.abs(lams[..., a] - lams[..., b]) < _DEGEN_TOL
     U = d[..., :, None] * C

@@ -378,11 +378,18 @@ def test_localize_check_convergence_needs_quad_M_32(capsys):
 @pytest.mark.parametrize("action", ["pair", "total"])
 @pytest.mark.parametrize("family,theta,M", [("x3", "3.1", "512"), ("p24y1", "-1.1", "2048")])
 def test_localize_check_convergence_keeps_value_bytes(capsys, action, family, theta, M):
-    # the flag adds the halving check; the value and every other byte stay
+    # the flag adds the halving check, one more kernel evaluation at M / 2;
+    # the value and every other byte stay
+    from coinwalk.localization import _integrals
+
     argv = ["localize", action, "--family", family, "--theta", theta, "--S", "U",
             "--quad-M", M] + (["--Sprime", "D"] if action == "pair" else [])
+    _integrals.cache_clear()
     plain = run(capsys, *argv)
+    assert _integrals.cache_info().misses == 1
+    _integrals.cache_clear()
     checked = run(capsys, *argv, "--check-convergence")
+    assert _integrals.cache_info().misses == 2
     assert plain == checked
     assert plain[0] == 0 and json.loads(plain[1])["converged"] is True
 
