@@ -1,30 +1,29 @@
 """Fourier-block spectral analysis of the walk evolution operator.
 
-The evolution operator block at quantum numbers (n, m) is D_{n,m} C with
+The evolution operator block at quantum numbers (n, m) is U = D_{n,m} C with
 D_{n,m} = diag(w^-n, w^n, w^-m, w^m), w = exp(2 pi i / N). For the four named
-coin families the eigenpairs have closed forms, ordered k = 1..4 as
-(-1, +1, e^{-i a}, e^{+i a}) with a in [0, pi]. Each closed-form eigenvector
-is a product px * qy, with px a function of w^n alone and qy of w^m alone:
-at every eigenvalue for p34x1, p24y1 and p23z1, and at lambda = +-1 for x3,
-whose dispersive pair k = 3, 4 does not separate. _FACTORS holds the one
-formula per family; localization evaluates the same lambda = -1 factors,
-px on its x nodes and qy at the y ends 0 and pi, and the k = 1, 2 vectors
-here are outer products of factors computed on the N momenta. One
+coin families the eigenvalues have closed forms, ordered k = 1..4 as
+(-1, +1, e^{-i a}, e^{+i a}) with a in [0, pi]. The flat pair k = 1, 2 has
+closed eigenvectors px * qy, px a function of w^n alone and qy of w^m
+alone. _FACTORS holds the one formula per family; localization evaluates
+the same lambda = -1 factors, px on its x nodes and qy at the y ends 0 and
+pi, and here they are outer products of factors on the N momenta. Every
+family's dispersive pair k = 3, 4 is deflated from the unit flat pair. One
 batched dense eigensolve, _dense_eig, serves every other block: a family
-block whose formula denominator degenerates or whose eigenvalues collide is
+block whose vectors fail the residual check or whose eigenvalues collide is
 matched onto its closed-form eigenvalues, and every block of a raw coin is
 sorted by eigenvalue angle in (-pi, pi].
 
 Every family coin is real, so conj D_{n,m} = D_{N-n,N-m} gives
 U(N-n, N-m) = conj U(n, m): conjugation takes an eigenpair (lam, v) to
 (conj lam, conj v), so k = 1, 2 keep their places and k = 3, 4 swap, and it
-leaves |U v - lam v| as it is. The closed-form vectors, their norms and their
-residual checks are evaluated on rows n <= (N-1)/2 only, _ROWS rows at a
-time; row N - n is row n with m taken to N - m, conjugated, k = 3, 4
-swapped, and a mirrored block takes its source block's residual verdict.
-The eigenvalues, the collision test, the blocks and the _dense_eig fallback
-stay on the full grid, so the eigenvalues are the ones the closed form gives
-at every (n, m).
+leaves |U v - lam v| as it is. The vectors and their residual checks are
+evaluated on rows n <= (N-1)/2 only, _ROWS rows at a time; row N - n is
+row n with m taken to N - m, conjugated, k = 3, 4 swapped, and a mirrored
+block takes its source block's residual verdict. The eigenvalues, the
+collision test, the blocks and the _dense_eig fallback stay on the full
+grid, so the eigenvalues are the ones the closed form gives at every
+(n, m).
 
 coin_eigensystem is one route for every coin: a raw coin is the case where
 every block falls back, so one _dense_eig call serves both. It keeps one
@@ -71,26 +70,31 @@ def _family_theta(coin) -> tuple[str, float] | None:
 
 
 def closed_form_eigenvalues(family: str, theta: float, zn, zm) -> np.ndarray:
-    """Eigenvalues (..., 4) of the block at momentum angles zn, zm."""
-    zn, zm = np.broadcast_arrays(np.asarray(zn, dtype=float), np.asarray(zm, dtype=float))
+    """Eigenvalues (..., 4) of the block at momentum angles zn, zm, with
+    a = 2 atan2(sqrt(1 - cos a), sqrt(1 + cos a)): each term is a sum of
+    non-negative pieces on zn and zm, so nothing cancels at any theta."""
+    hn, hm = np.asarray(zn, dtype=float) / 2, np.asarray(zm, dtype=float) / 2
+    sn, sm, cn, cm = np.sin(hn) ** 2, np.sin(hm) ** 2, np.cos(hn) ** 2, np.cos(hm) ** 2
     if family == "x3":
-        ca = ((1 + np.cos(theta)) * np.cos(zn) + (1 - np.cos(theta)) * np.cos(zm)) / 2
-        ang = np.arccos(np.clip(ca, -1.0, 1.0))
+        # cos a = cos^2(theta/2) cos zn + sin^2(theta/2) cos zm
+        u, t = np.cos(theta / 2) ** 2, np.sin(theta / 2) ** 2
+        lo, hi = u * sn + t * sm, u * cn + t * cm
     else:
-        s = np.sin(theta) * (np.cos(zn) + np.cos(zm))
-        ang = np.arccos(np.clip(s / 2, -1.0, 1.0))
-    lam3 = np.exp(-1j * ang)
+        # cos a = sin(theta) (cos zn + cos zm) / 2; r = 1 - |sin theta|
+        s, r = abs(np.sin(theta)), 2 * np.sin((abs(theta) - np.pi / 2) / 2) ** 2
+        lo, hi = r + s * (sn + sm), r + s * (cn + cm)
+        if np.sin(theta) < 0:
+            lo, hi = hi, lo
+    lam3 = np.exp(-2j * np.arctan2(np.sqrt(lo), np.sqrt(hi)))
     return np.stack([-np.ones_like(lam3), np.ones_like(lam3), lam3, np.conj(lam3)], axis=-1)
 
 
 def _factors_y1(theta: float, lam, wn, wm):
     """(px, qy), each (4, ...), with eigenvector px * qy at every unimodular
-    lam. Written in half-angle variables so no denominator vanishes at
-    interior momenta for any theta in (-pi, pi). The ratios in px[0] and
-    qy[3] equal lam / wn * rx and lam * wm * ry with rx = ry = 1 at real lam.
-    They are evaluated whole: near theta = +-pi/2 the dispersive k = 3, 4
-    vectors are ill-conditioned, and splitting off rx and ry moves them by
-    about 1e-12."""
+    lam; the package evaluates it at lam = +-1 only and deflates the
+    dispersive pair. Written in half-angle variables so no denominator
+    vanishes at interior momenta for any theta in (-pi, pi). The ratios in
+    px[0] and qy[3] equal lam / wn and lam * wm at real lam only."""
     t, u = np.sin(theta / 2), np.cos(theta / 2)
     A = u * lam / wn - t
     B = u - lam * t * wm
@@ -135,17 +139,6 @@ def _factors_x3(theta: float, lam, wn, wm):
 # (theta, lam, wn, wm) -> (px, qy); the eigenvector is px * qy
 _FACTORS = {"p24y1": _factors_y1, "p34x1": _factors_x1,
             "p23z1": _factors_z1, "x3": _factors_x3}
-
-
-def _vec_x3(theta: float, lam, a, b):
-    """x3 eigenvector, (4, ...), for the dispersive pair k = 3, 4."""
-    s, c = np.sin(theta), np.cos(theta)
-    den = (c + 1) * lam**2 * (a**2 + 1) + a * b * (1 - c) * (lam**2 - 1) \
-        - 2 * a * lam * (lam**2 + c)
-    v1 = -(a - lam) * (b - lam) * s
-    v2 = -a * (b - lam) * (a * lam - 1) * s
-    v4 = b * (a - lam) * (a * lam - 1) * (c + 1)
-    return np.stack(np.broadcast_arrays(v1, v2, den, v4))
 
 
 def _dense_eig(U: np.ndarray, targets: np.ndarray | None = None):
@@ -199,46 +192,53 @@ def _phases(N: int) -> np.ndarray:
     return np.stack([1 / WN, WN, 1 / WM, WM], axis=-1)
 
 
-def _closed_form_vecs(family: str, theta: float, lams: np.ndarray, wn, wm) -> np.ndarray:
-    """Unnormalized eigenvectors (..., 4, 4) indexed [..., k, :] at momenta
-    wn, wm that broadcast to lams[..., 0]. lam = -1, +1 are scalars, so on
-    the (N, 1) x (1, N) grid their vectors are outer products of O(N) factor
-    values. The factor temporaries die on return, before the caller's
-    residual check, where the eigensystem's memory peaks."""
-    vecs = np.empty(lams.shape + (4,), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(4):
-            lam = (-1.0, 1.0)[k] if k < 2 else lams[..., k]
-            if k >= 2 and family == "x3":
-                v = _vec_x3(theta, lam, wn, wm)
-            else:
-                px, qy = _FACTORS[family](theta, lam, wn, wm)
-                v = px * qy
-            vecs[..., k, :] = np.moveaxis(v, 0, -1)
-    return vecs
+def _deflate(C: np.ndarray, d: np.ndarray, lam_other: np.ndarray, v1, v2) -> np.ndarray:
+    """Unit eigenvectors (..., j, 4) of the blocks U = d[..., :, None] * C for
+    the eigenvalue lam = conj lam', lam' = lam_other[..., j], from the unit
+    flat pair v1 (lam = -1) and v2 (lam = +1), each (..., 4). With
+    Pc = I - v1 v1^H - v2 v2^H, (U - lam') Pc = (lam - lam') v v^H
+    = U - lam' + (1 + lam') v1 v1^H - (1 - lam') v2 v2^H. Its column c is
+    taken where its diagonal over lam - lam' = -2i Im lam', which is
+    |v_c|^2 = (1 - |v1_c|^2 - |v2_c|^2 - Im U_cc / Im lam') / 2, is largest."""
+    h = 1 - (v1.real**2 + v1.imag**2) - (v2.real**2 + v2.imag**2)
+    c = (h[..., None, :] - (d * np.diagonal(C)).imag[..., None, :]
+         / lam_other.imag[..., None]).argmax(axis=-1)
+    col = d[..., None, :] * np.take(C.T, c, axis=0)
+    col.reshape(-1, 4)[np.arange(c.size), c.reshape(-1)] -= lam_other.reshape(-1)
+    col += ((1 + lam_other) * np.take_along_axis(v1.conj(), c, -1))[..., None] * v1[..., None, :]
+    col -= ((1 - lam_other) * np.take_along_axis(v2.conj(), c, -1))[..., None] * v2[..., None, :]
+    x = col.view(float)
+    return col / np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
 
 
 def _closed_form_half(family: str, theta: float, C: np.ndarray, lams: np.ndarray,
                       w: np.ndarray, d: np.ndarray):
-    """Unit closed-form eigenvectors (N, N, 4, 4) and the blocks whose
-    vectors fail the norm or residual check, (N, N) bool. Rows n <= (N-1)/2
-    are solved, _ROWS at a time; row N - n is row n mirrored."""
+    """Unit eigenvectors (N, N, 4, 4) and the blocks whose vectors fail the
+    residual check, (N, N) bool. Rows n <= (N-1)/2 are solved, _ROWS at a
+    time, the flat pair from _FACTORS and the dispersive pair deflated from
+    it; row N - n is row n mirrored."""
     N = len(w)
     half = (N - 1) // 2
     vecs = np.empty((N, N, 4, 4), dtype=complex)
     failed = np.empty((N, N), dtype=bool)
     for n0 in range(0, half + 1, _ROWS):
         rows = slice(n0, min(n0 + _ROWS, half + 1))
-        v = _closed_form_vecs(family, theta, lams[rows], w[rows, None], w[None, :])
+        v = vecs[rows]
+        flat = np.empty((2,) + v.shape[:2] + (4,), dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            norms = np.sqrt((v.real**2 + v.imag**2).sum(axis=-1))
-            v = v / norms[..., None]
+            for k, lam in enumerate((-1.0, 1.0)):
+                px, qy = _FACTORS[family](theta, lam, w[rows, None], w[None, :])
+                np.multiply(np.moveaxis(px, 0, -1), np.moveaxis(qy, 0, -1), out=flat[k])
+            norms = np.sqrt((flat.real**2 + flat.imag**2).sum(axis=-1))
+            flat /= norms[..., None]
+            v[..., :2, :] = np.moveaxis(flat, 0, 2)
+            v[..., 2:, :] = _deflate(C, d[rows], lams[rows, :, :1:-1], *flat)
             # U v = d * (C v): one GEMM over the chunk's vectors
             err = (v.reshape(-1, 4) @ C.T).reshape(v.shape) * d[rows, :, None, :]
             err -= lams[rows, :, :, None] * v
             resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
-        ok = np.isfinite(resid) & (resid <= _RESID_TOL) & np.isfinite(norms) & (norms > 1e-12)
-        vecs[rows], failed[rows] = v, ~ok.all(axis=-1)
+        # a flat norm is >= 1 (one entry is 1); an infinite one zeroes its vector
+        failed[rows] = ~((resid <= _RESID_TOL).all(axis=-1) & np.isfinite(norms).all(axis=0))
     # row N - n is row n at m -> N - m, conjugated, with k = 3, 4 swapped
     m = -np.arange(N) % N
     mirrored = vecs[half + 1:]

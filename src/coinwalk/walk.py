@@ -124,6 +124,9 @@ class WalkState:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, N: int) -> "WalkState":
+        """The state of a flat vector in canonical index order, for a lattice
+        side the walk takes (odd, >= 3)."""
+        N = _check_lattice(N)
         amps = np.asarray(vec, dtype=complex).reshape(N, N, 4).transpose(2, 1, 0)
         return cls(N, amps.copy())
 

@@ -79,6 +79,17 @@ def test_vector_round_trip():
     assert np.abs(st5.to_vector() - v).max() == 0
 
 
+@pytest.mark.parametrize("N", [4, 2, 1])
+def test_from_vector_rejects_lattices_initial_state_rejects(N):
+    # a vector of the right length for an even or too small side used to
+    # give a state that evolve walked without complaint
+    msg = f"lattice side must be odd and >= 3, got {N}"
+    with pytest.raises(ValueError, match=msg):
+        initial_state(N, "R")
+    with pytest.raises(ValueError, match=msg):
+        WalkState.from_vector(np.eye(4 * N * N)[0], N)
+
+
 def test_identity_coin_pure_translation():
     s = initial_state(5, "R")
     s1 = step(s, np.eye(4))
