@@ -78,7 +78,6 @@ _LEFT = {"x": P34, "y": P24, "z": P23}  # multipliers of the generalized-Grover 
 _J_KIND_SIGN = {1: ("m", 1), 2: ("m", -1), 3: ("n", 1), 4: ("n", -1)}
 _KIND_SIGN_J = {ks: j for j, ks in _J_KIND_SIGN.items()}
 _MATCH_TOL = 1e-9  # of classify_batch_errors and group_closure_sample
-_EYE4 = np.eye(4)
 
 def _gather_index(fam: str, left: Permutation4) -> np.ndarray:
     """Flat indices reading Conj * left^T * A * Conj off A.reshape(16)."""
@@ -154,8 +153,9 @@ class Coin:
     same matrix as Fractions (rational coins are exactly orthogonal in that
     representation). degenerate and unitary are derived from the fields, so
     no constructor call can contradict them. A named family with a theta must
-    match that family's coin within 1e-12: the walk reads the entries, the
-    spectral closed forms read family and theta.
+    match that family's coin within 1e-12, and theta must lie in [-pi, pi]:
+    the walk reads the entries, the spectral closed forms read family and
+    theta.
     """
 
     entries: np.ndarray
@@ -171,12 +171,9 @@ class Coin:
         if self.family in COIN_FAMILIES and self.theta is not None:
             if not np.abs(e - _family_matrix(self.family, float(self.theta))).max() <= 1e-12:
                 raise ValueError(f"entries differ from {self.family}(theta={self.theta})")
+            _check_theta(self.theta)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.abs(self.entries.imag).max() < 1e-12)
 
     @cached_property
     def degenerate(self) -> bool:
@@ -229,6 +226,14 @@ def set_member_from_theta(tag: str, theta) -> np.ndarray:
     return _block(tag[0], kind, sign, np.sin(theta) / 2, sign * (1 + np.cos(theta)) / 2)
 
 
+def _check_theta(theta) -> float:
+    """theta as a float in [-pi, pi], the range of the named families."""
+    theta = float(theta)
+    if not (-math.pi <= theta <= math.pi):
+        raise ValueError(f"theta={theta} out of range [-pi, pi]")
+    return theta
+
+
 def _family_matrix(family: str, theta: float) -> np.ndarray:
     """The matrix of a named walk family at theta (see coin_from_theta)."""
     tag = family[-2:]
@@ -253,9 +258,7 @@ def coin_from_theta(family: str, theta: float) -> Coin:
     family = family.lower()
     if family not in COIN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {COIN_FAMILIES}")
-    theta = float(theta)
-    if not (-math.pi <= theta <= math.pi):
-        raise ValueError(f"theta={theta} out of range [-pi, pi]")
+    theta = _check_theta(theta)
     return Coin(_family_matrix(family, theta), family=family, theta=theta)
 
 
@@ -302,7 +305,7 @@ def orthogonality_residual(A, conjugate: bool = False) -> float:
     if A.dtype.kind not in "fc":
         A = A.astype(complex)
     G = (A.conj().T if conjugate else A.T) @ A
-    return float(np.abs(G - (_EYE4 if len(A) == 4 else np.eye(len(A)))).max())
+    return float(np.abs(G - np.eye(len(A))).max())
 
 
 def is_orthogonal(A, tol: float = 1e-9) -> bool:
@@ -336,10 +339,6 @@ class FamilyWitness:
     sign: int                  # +1 or -1
     x: complex
     z: complex
-
-    @property
-    def conjugator(self) -> np.ndarray:
-        return _CONJ[self.family]
 
     @property
     def j(self) -> int:

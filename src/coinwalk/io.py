@@ -10,9 +10,9 @@ identical runs produce byte-identical files.
 Large row arrays are formatted through one ``%`` template per row shape,
 _CHUNK rows at a time, instead of value by value: the bytes are the same,
 the time is a fraction of json's pure-Python indenting encoder, and memory
-stays flat however many rows there are. A JSON table column whose values all
-print the same (equal value and type, and for floats equal sign) is written
-into the template as that literal, so a constant column costs no formatting.
+stays flat however many rows there are. A column of a 2-D array whose
+values all have equal bits is written into the template as its JSON literal,
+so a constant column costs no formatting.
 """
 
 from __future__ import annotations
@@ -83,35 +83,25 @@ def _literal(v) -> str:
     return json.dumps(v).replace("%", "%%")
 
 
-def _json_column(col) -> str | None:
-    """The template slot of one column of a row table: the JSON literal of
-    a column whose values all have one repr, else %r for finite ints and
-    floats and %s for strings (filled with their JSON encoding). None when
-    json must write the table itself."""
+def _json_slot(col) -> str | None:
+    """The template slot of one column of a row table: %r for finite ints
+    and floats, whose repr is their JSON, and %s for strings, filled with
+    their JSON encoding. None when json must write the table itself."""
     types = set(map(type, col))
     if types == {str}:
-        slot = "%s"
-    elif not types <= {int, float}:
+        return "%s"
+    if not types <= {int, float}:
         return None
-    else:
-        floats = col if types == {float} else [v for v in col if type(v) is float]
-        if not all(map(math.isfinite, floats)):
-            return None
-        slot = "%r"
-    # equal values of one type print alike, except 0.0 and -0.0; the last
-    # value turns most columns down before count reads them all
-    if (len(types) == 1 and col[-1] == col[0] and col.count(col[0]) == len(col)
-            and (types != {float} or len(set(map(repr, col))) == 1)):
-        return _literal(col[0])
-    return slot
+    floats = col if types == {float} else [v for v in col if type(v) is float]
+    return "%r" if all(map(math.isfinite, floats)) else None
 
 
 def _json_table(v):
     """(slots, chunks) when v is a table the templates write: a 2-D finite
-    int or float array, or a non-empty list of equal-length rows whose
-    columns are _json_column slots. chunks yields (row count, values row
-    after row, of the columns that are not literals) for each run of _CHUNK
-    rows. None for any other value."""
+    int or float array, whose constant columns are literals, or a non-empty
+    list of equal-length rows whose columns all have a _json_slot. chunks
+    yields (row count, values row after row, of the columns that are not
+    literals) for each run of _CHUNK rows. None for any other value."""
     if isinstance(v, np.ndarray):
         # up to 8 bytes, tolist gives Python scalars, whose %r is what json
         # prints; %r of an np.float64 or np.longdouble is not
@@ -133,25 +123,19 @@ def _json_table(v):
     width = len(v[0])
     if not width or any(len(r) != width for r in v):
         return None
-    slots = [_json_column([r[j] for r in v]) for j in range(width)]
+    slots = [_json_slot([r[j] for r in v]) for j in range(width)]
     if None in slots:
         return None
-
-    literals = [j for j, slot in enumerate(slots) if slot not in ("%r", "%s")]
+    strs = [j for j, slot in enumerate(slots) if slot == "%s"]
 
     def chunks():
         for i in range(0, len(v), _CHUNK):
             flat = list(chain.from_iterable(v[i:i + _CHUNK]))
-            for j, slot in enumerate(slots):
-                if slot == "%s":
-                    col = flat[j::width]
-                    encoded = {s: json.dumps(s) for s in set(col)}
-                    flat[j::width] = map(encoded.__getitem__, col)
-            n = len(flat) // width
-            # the last literal column first, so the earlier ones keep their index
-            for k, j in enumerate(reversed(literals)):
-                del flat[j::width - k]
-            yield n, flat
+            for j in strs:
+                col = flat[j::width]
+                encoded = {s: json.dumps(s) for s in set(col)}
+                flat[j::width] = map(encoded.__getitem__, col)
+            yield len(flat) // width, flat
 
     return slots, chunks()
 

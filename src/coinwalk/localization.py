@@ -46,9 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import COIN_FAMILIES
+from .coins import COIN_FAMILIES, _check_count
 from .spectral import _FACTORS
-from .walk import CHIRALITIES, _check_count, chirality_index
+from .walk import CHIRALITIES, chirality_index
 
 __all__ = [
     "QuadratureSpec", "theta_grid",

@@ -265,12 +265,13 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) ->
     """Random orthogonal matrices inside span of the named permutations.
 
     Up to 60 batched Gauss-Newton steps from random starts, each step on
-    the starts whose max |A^T A - I| is still above 1e-14 and, once at or
-    below 1e-12, still falling; starts left above 1e-12 are dropped. trials
-    is an integer >= 0 (numpy integers pass). Returns an array (k, 4, 4).
-    Near a corner of the variety A converges at square-root precision, and
-    slowly (35 steps or more from 1e-12 to 1e-14), so stopping at 1e-12 would
-    leave entries about 1e-6 off the corner; 1e-14 leaves about 1e-7.
+    the starts whose max |triu(A^T A - I)| is still above 1e-14 and, once at
+    or below 1e-12, still falling; a start is kept when the last such
+    residual of its A is at most 1e-12. trials is an integer >= 0 (numpy
+    integers pass). Returns an array (k, 4, 4). Near a corner of the variety
+    A converges at square-root precision, and slowly (35 steps or more from
+    1e-12 to 1e-14), so stopping at 1e-12 would leave entries about 1e-6 off
+    the corner; 1e-14 leaves about 1e-7.
     """
     trials = _check_count(trials, 0, "trials")
     gens = np.stack([perm_matrix(n) for n in names])
@@ -278,27 +279,28 @@ def sample_orthogonal_in_span(names: tuple[str, ...], trials: int, seed: int) ->
     rng = np.random.default_rng(seed)
     c = rng.normal(0, 1, (trials, d))
     iu = np.triu_indices(4)
-    # J[b, l] = d(A^T A)[triu]/dc_l = c[b] . X[:, l][triu], and A^T A = J c / 2
+    # J[b, l] = d(A^T A)[triu]/dc_l = c[b] . X[:, l][triu]
     X = _cross_terms(gens)[:, :, iu[0], iu[1]].reshape(d, d * 10)
     eye = np.eye(4)[iu]
+    resid = np.empty(trials)
     live, last = np.arange(trials), np.inf
-    for _ in range(60):
-        J = (c[live] @ X).reshape(-1, d, 10)
-        f = 0.5 * (c[live, None, :] @ J)[:, 0] - eye
-        r = np.abs(f).max(axis=1)
+    # pass 61 only records the residual that the 60th step left
+    for i in range(61):
+        A = np.tensordot(c[live], gens, axes=1)
+        f = (A.swapaxes(1, 2) @ A)[:, iu[0], iu[1]] - eye
+        resid[live] = r = np.abs(f).max(axis=1)
         # a start accepted already (<= 1e-12) whose residual did not fall
         # has reached rounding; above 1e-12 a damped step may rise for a while
         going = (r > 1e-14) & ((r < last) | (r > 1e-12))
-        live, J, f, last = live[going], J[going], f[going], r[going]
-        if not len(live):
+        live, f, last = live[going], f[going], r[going]
+        if i == 60 or not len(live):
             break
+        J = (c[live] @ X).reshape(-1, d, 10)
         # Levenberg-Marquardt damping keeps rank-deficient starts solvable
         mu = 1e-12 + 1e-2 * (f**2).sum(axis=1)
         JtJ = J @ J.swapaxes(1, 2) + mu[:, None, None] * np.eye(d)
         c[live] -= np.linalg.solve(JtJ, J @ f[..., None])[..., 0]
-    A = np.tensordot(c, gens, axes=1)
-    G = A.swapaxes(1, 2) @ A - np.eye(4)
-    return A[np.abs(G[:, iu[0], iu[1]]).max(axis=1) <= 1e-12]
+    return np.tensordot(c, gens, axes=1)[resid <= 1e-12]
 
 
 def direct_sum_components(A, tol: float = 1e-12) -> list[tuple[list[int], list[int]]]:

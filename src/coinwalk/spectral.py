@@ -45,8 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import Coin, COIN_FAMILIES, coin_from_theta
-from .walk import CHIRALITIES, WalkState, _check_lattice, _index, _walk_coin, chirality_index
+from .coins import Coin, COIN_FAMILIES, _check_count, _index, coin_from_theta
+from .walk import CHIRALITIES, WalkState, _check_lattice, _walk_coin, chirality_index
 
 __all__ = [
     "SpectralBlock", "DegeneracyClass",
@@ -212,12 +212,13 @@ def _deflate(C: np.ndarray, d: np.ndarray, lam_other: np.ndarray, v1, v2) -> np.
 
 
 def _closed_form_half(family: str, theta: float, C: np.ndarray, lams: np.ndarray,
-                      w: np.ndarray, d: np.ndarray):
+                      d: np.ndarray):
     """Unit eigenvectors (N, N, 4, 4) and the blocks whose vectors fail the
-    residual check, (N, N) bool. Rows n <= (N-1)/2 are solved, _ROWS at a
-    time, the flat pair from _FACTORS and the dispersive pair deflated from
-    it; row N - n is row n mirrored."""
-    N = len(w)
+    residual check, (N, N) bool, for the phases d = _phases(N). Rows
+    n <= (N-1)/2 are solved, _ROWS at a time, the flat pair from _FACTORS
+    and the dispersive pair deflated from it; row N - n is row n mirrored."""
+    N = len(d)
+    w = d[:, 0, 1]
     half = (N - 1) // 2
     vecs = np.empty((N, N, 4, 4), dtype=complex)
     failed = np.empty((N, N), dtype=bool)
@@ -260,7 +261,7 @@ def _eigensystem(family: str | None, theta, N: int):
         C = coin_from_theta(family, theta).entries
         zn = 2 * np.pi * np.arange(N) / N
         lams = closed_form_eigenvalues(family, theta, zn[:, None], zn[None, :])  # (N,N,4)
-        vecs, bad = _closed_form_half(family, theta, C, lams, np.exp(1j * zn), d)
+        vecs, bad = _closed_form_half(family, theta, C, lams, d)
         for a, b in zip(*np.triu_indices(4, 1)):
             bad |= np.abs(lams[..., a] - lams[..., b]) < _DEGEN_TOL
     U = d[..., :, None] * C
@@ -330,8 +331,6 @@ def omega_class(n: int, m: int, N: int, symmetric: bool = True) -> DegeneracyCla
     n, m = _index(n), _index(m)
     if n is None or m is None or not (0 <= n <= half and 0 <= m <= half):
         raise ValueError("representative must be integers 0 <= n, m <= (N-1)/2")
-    if (n, m) == (0, 0):
-        return DegeneracyClass((0, 0), ((0, 0),))
 
     def orbit(a, b):
         return {(aa % N, bb % N) for aa in (a, N - a) for bb in (b, N - b)}
@@ -451,10 +450,9 @@ def finite_N_pbar_matrix(coin, N: int) -> np.ndarray:
 
 def reconstruct_state(coin, N: int, S: str, t: int) -> WalkState:
     """Spectral reconstruction of the state after t steps from the canonical
-    initial state |S> at the origin. t must be an integer >= 0, as for
-    walk.evolve; numpy integers pass, bool and float raise ValueError."""
-    if _index(t) is None or t < 0:
-        raise ValueError(f"t must be an integer >= 0, got {t!r}")
+    initial state |S> at the origin. t is checked as walk.evolve checks it:
+    an integer >= 0; numpy integers pass, bool and float raise ValueError."""
+    t = _check_count(t, 0, "t")
     lams, vecs, _, _ = coin_eigensystem(coin, N)
     b = chirality_index(S) - 1
     # sum over k of lam^t v conj(v_b), then the inverse transform over (n, m):

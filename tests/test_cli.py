@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coinwalk.cli import main
+from coinwalk.coins import _family_matrix
 
 
 def run(capsys, *argv):
@@ -165,6 +166,16 @@ def test_localize_sweep_deterministic_bytes(capsys, tmp_path):
 def test_theta_out_of_range_exit_2(capsys):
     code, _ = run(capsys, "coin", "gen", "--family", "p24y1", "--theta", "9.9")
     assert code == 2
+
+
+def test_coin_verify_rejects_family_theta_out_of_range(capsys, tmp_path):
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps({"family": "p24y1", "theta": 4.0,
+                                "entries_re": _family_matrix("p24y1", 4.0).tolist()}))
+    code = main(["coin", "verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: theta=4.0 out of range [-pi, pi]\n"
 
 
 def test_walk_spectrum_coefficients(capsys):

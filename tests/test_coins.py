@@ -12,6 +12,7 @@ from coinwalk.coins import (
     COIN_FAMILIES,
     SET_TAGS,
     Coin,
+    _family_matrix,
     NotOrthogonalError,
     NotPermutativeError,
     build_permutative,
@@ -72,6 +73,21 @@ def test_theta_out_of_range():
         coin_from_theta("p24y1", 3.5)
     with pytest.raises(ValueError):
         coin_from_theta("bogus", 0.1)
+
+
+@pytest.mark.parametrize("theta", [4.0, -3.5, 2 * math.pi])
+def test_coin_rejects_family_theta_out_of_range(theta):
+    # the matrix is a valid coin, but the closed forms of the spectral
+    # machinery read family and theta, and take theta in [-pi, pi] only
+    with pytest.raises(ValueError) as want:
+        coin_from_theta("p24y1", theta)
+    entries = _family_matrix("p24y1", theta)
+    with pytest.raises(ValueError) as got:
+        Coin(entries, family="p24y1", theta=theta)
+    assert str(got.value) == str(want.value) == f"theta={theta} out of range [-pi, pi]"
+    obj = {"family": "p24y1", "theta": theta, "entries_re": entries.tolist()}
+    with pytest.raises(ValueError, match=r"out of range \[-pi, pi\]"):
+        coin_from_json(obj)
 
 
 def test_endpoint_flagged_degenerate():

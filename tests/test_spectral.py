@@ -923,8 +923,18 @@ def test_quantum_numbers_must_be_integers(call):
 
 @pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0, True])
 def test_reconstruct_state_rejects_what_evolve_rejects(t):
-    with pytest.raises(ValueError, match="t must be an integer >= 0"):
+    with pytest.raises(ValueError, match="t must be (an integer|>= 0), got"):
         reconstruct_state(coin_from_theta("p24y1", 0.7), 5, "R", t)
+
+
+@pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0, True])
+def test_reconstruct_state_and_evolve_reject_t_with_one_message(t):
+    coin = coin_from_theta("p24y1", 0.7)
+    with pytest.raises(ValueError) as spectral_exc:
+        reconstruct_state(coin, 5, "R", t)
+    with pytest.raises(ValueError) as walk_exc:
+        evolve(initial_state(5, "R"), coin, t)
+    assert str(spectral_exc.value) == str(walk_exc.value)
 
 
 @pytest.mark.parametrize("t", [np.int64(4), np.uint8(4)])
