@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 COIN_FAMILIES = ("p34x1", "p24y1", "p23z1", "x3")
+_GENERALIZED_GROVER = COIN_FAMILIES[:3]   # a set's left factor times its member; x3 is bare
 
 # Bare pattern sets of the classification, tagged by family letter and index.
 SET_TAGS = tuple(f"{f}{j}" for f in "xyz" for j in (1, 2, 3, 4))
@@ -168,19 +169,17 @@ class Coin:
         e = np.array(self.entries, dtype=complex)
         if e.shape != (4, 4):
             raise ValueError("coin must be 4x4")
-        if self.family in COIN_FAMILIES and self.theta is not None:
-            if not np.abs(e - _family_matrix(self.family, float(self.theta))).max() <= 1e-12:
+        if named := _named_family(self):   # theta first: sin cannot take an infinite one
+            if not np.abs(e - _family_matrix(named[0], _check_theta(named[1]))).max() <= 1e-12:
                 raise ValueError(f"entries differ from {self.family}(theta={self.theta})")
-            _check_theta(self.theta)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
     @cached_property
     def degenerate(self) -> bool:
-        """True at the theta = +-pi endpoints of the named families,
-        computed once per coin."""
-        return (self.family in COIN_FAMILIES and self.theta is not None
-                and math.isclose(abs(self.theta), math.pi, rel_tol=0, abs_tol=1e-12))
+        """True at the theta = +-pi endpoints of the named families; computed once."""
+        named = _named_family(self)
+        return bool(named) and math.isclose(abs(named[1]), math.pi, rel_tol=0, abs_tol=1e-12)
 
     @cached_property
     def unitary(self) -> bool:
@@ -200,6 +199,12 @@ class Coin:
         e = self.entries.real.copy()
         e.setflags(write=False)
         return e
+
+
+def _named_family(coin) -> tuple[str, float] | None:
+    """(family, theta) of a named family Coin with a theta; None for any other coin."""
+    named = isinstance(coin, Coin) and coin.family in COIN_FAMILIES and coin.theta is not None
+    return (coin.family, float(coin.theta)) if named else None
 
 
 def grover_coin() -> Coin:
@@ -234,6 +239,13 @@ def _check_theta(theta) -> float:
     return theta
 
 
+def _family_name(family) -> str:
+    """family lowercased; ValueError unless it names one of COIN_FAMILIES."""
+    if (name := str(family).lower()) not in COIN_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {COIN_FAMILIES}")
+    return name
+
+
 def _family_matrix(family: str, theta: float) -> np.ndarray:
     """The matrix of a named walk family at theta (see coin_from_theta)."""
     tag = family[-2:]
@@ -242,7 +254,7 @@ def _family_matrix(family: str, theta: float) -> np.ndarray:
     # z of z1(pi - theta) is (1 + cos(pi - theta))/2 = (1 - c)/2; taking the
     # right-hand side avoids rounding pi - theta
     m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
-    return m if family == "x3" else _LEFT[tag[0]] @ m
+    return _LEFT[tag[0]] @ m if family in _GENERALIZED_GROVER else m
 
 
 def coin_from_theta(family: str, theta: float) -> Coin:
@@ -255,9 +267,7 @@ def coin_from_theta(family: str, theta: float) -> Coin:
     theta must lie in [-pi, pi]; the endpoints give sign-degenerate
     permutation-like coins and are flagged (the walk modules reject them).
     """
-    family = family.lower()
-    if family not in COIN_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {COIN_FAMILIES}")
+    family = _family_name(family)
     theta = _check_theta(theta)
     return Coin(_family_matrix(family, theta), family=family, theta=theta)
 

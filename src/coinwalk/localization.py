@@ -24,11 +24,12 @@ so this is P+- up to a sign per end, and the integrand reads P+- only
 through the products P+-_a P+-_b.
 
 The integrand is then a ratio of two linear functions of cos y, whose y
-integral _integrals takes exactly. On x, px grows as 1 / |e^{ix} + 1| next
-to x = pi, so the x rule is the midpoint rule in s under x = phi(s), with
-phi' = (8/3) sin^4 s vanishing to fourth order at both ends (Sidi's sin^4
-transform, 1993; Trefethen and Weideman, SIAM Review 56, 2014), and
-phi(pi - s) = pi - phi(s) keeps the reflection above. At the default
+integral _integrals takes exactly. In x, x3's has a kink at x = pi, where the
+flat band meets the dispersive pair, and the Grover families' turns within
+|theta -+ pi/2| of an end, so the x rule is the midpoint rule in s under
+x = phi(s), with phi' = (8/3) sin^4 s vanishing to fourth order at both ends
+(Sidi's sin^4 transform, 1993; Trefethen and Weideman, SIAM Review 56, 2014),
+and phi(pi - s) = pi - phi(s) keeps the reflection above. At the default
 M = 512 every family is within 4.4e-16 of M = 65536 at theta in {0, +-1e-9,
 +-1e-6, +-1e-3, 0.7, -2, +-1.5707, +-3.1}, x3 at |theta| <= 1e-6 within 1.5e-12.
 
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import COIN_FAMILIES, _check_count
+from .coins import _GENERALIZED_GROVER, _check_count, _family_name
 from .spectral import _FACTORS
 from .walk import CHIRALITIES, chirality_index
 
@@ -85,7 +86,6 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-_GROVER_FAMILIES = ("p34x1", "p24y1", "p23z1")   # Theorem 3.6: diagonal 1/8
 # theorem36_check names where the largest deviation from 1/8 lies only above
 # this; below it the deviations are rounding (at most 2.8e-16 on the default
 # grid), and their argmax moves with any last-bit change of the quadrature
@@ -135,9 +135,9 @@ def pbar_matrix(family: str, theta: float, quad: QuadratureSpec = QuadratureSpec
     """Localization probabilities for all pairs: entry [l(S')-1, l(S)-1] is
     the infinite-lattice time-averaged probability of observing |S'> at the
     origin for the walk started there in |S>. The lambda = +1 integral equals
-    the lambda = -1 one, so the sum of the two squares is 2 I^2."""
-    if family not in COIN_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    the lambda = -1 one, so the sum of the two squares is 2 I^2. family is
+    one of COIN_FAMILIES, in any case."""
+    family = _family_name(family)
     theta = _check_theta(theta)
     return 2 * _integrals(family, theta, quad.M) ** 2
 
@@ -209,14 +209,14 @@ def theorem36_check(quad: QuadratureSpec = QuadratureSpec(), grid: int = 25) -> 
     thetas = theta_grid(grid)
     worst = 0.0
     worst_at = None
-    for family in _GROVER_FAMILIES:
+    for family in _GENERALIZED_GROVER:
         for theta in thetas:
             pm = pbar_matrix(family, theta, quad)
             dev = float(np.abs(np.diag(pm) - 0.125).max())
             if dev > worst:
                 worst, worst_at = dev, (family, float(theta))
     return {
-        "families": list(_GROVER_FAMILIES),
+        "families": list(_GENERALIZED_GROVER),
         "grid": grid,
         "quad_M": quad.M,
         "max_abs_deviation": worst,

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coins import Coin, COIN_FAMILIES, _check_count, _index, coin_from_theta
+from .coins import _GENERALIZED_GROVER, _check_count, _index, _named_family, coin_from_theta
 from .walk import CHIRALITIES, WalkState, _check_lattice, _walk_coin, chirality_index
 
 __all__ = [
@@ -63,28 +63,22 @@ _DEGEN_TOL = 1e-9
 _ROWS = 16
 
 
-def _family_theta(coin) -> tuple[str, float] | None:
-    if isinstance(coin, Coin) and coin.family in COIN_FAMILIES and coin.theta is not None:
-        return coin.family, float(coin.theta)
-    return None
-
-
 def closed_form_eigenvalues(family: str, theta: float, zn, zm) -> np.ndarray:
     """Eigenvalues (..., 4) of the block at momentum angles zn, zm, with
     a = 2 atan2(sqrt(1 - cos a), sqrt(1 + cos a)): each term is a sum of
     non-negative pieces on zn and zm, so nothing cancels at any theta."""
     hn, hm = np.asarray(zn, dtype=float) / 2, np.asarray(zm, dtype=float) / 2
     sn, sm, cn, cm = np.sin(hn) ** 2, np.sin(hm) ** 2, np.cos(hn) ** 2, np.cos(hm) ** 2
-    if family == "x3":
-        # cos a = cos^2(theta/2) cos zn + sin^2(theta/2) cos zm
-        u, t = np.cos(theta / 2) ** 2, np.sin(theta / 2) ** 2
-        lo, hi = u * sn + t * sm, u * cn + t * cm
-    else:
+    if family in _GENERALIZED_GROVER:
         # cos a = sin(theta) (cos zn + cos zm) / 2; r = 1 - |sin theta|
         s, r = abs(np.sin(theta)), 2 * np.sin((abs(theta) - np.pi / 2) / 2) ** 2
         lo, hi = r + s * (sn + sm), r + s * (cn + cm)
         if np.sin(theta) < 0:
             lo, hi = hi, lo
+    else:
+        # x3: cos a = cos^2(theta/2) cos zn + sin^2(theta/2) cos zm
+        u, t = np.cos(theta / 2) ** 2, np.sin(theta / 2) ** 2
+        lo, hi = u * sn + t * sm, u * cn + t * cm
     lam3 = np.exp(-2j * np.arctan2(np.sqrt(lo), np.sqrt(hi)))
     return np.stack([-np.ones_like(lam3), np.ones_like(lam3), lam3, np.conj(lam3)], axis=-1)
 
@@ -126,13 +120,13 @@ def _factors_z1(theta: float, lam, wn, wm):
 
 
 def _factors_x3(theta: float, lam, wn, wm):
-    """lam = +-1 only: the dispersive pair k = 3, 4 does not separate.
-    tan(theta / 2) is sin / (1 + cos), but 1 + cos rounds to 0 within about
-    1e-8 of theta = +-pi."""
+    """lam = +-1 only: the dispersive pair k = 3, 4 does not separate. px * qy has no
+    division and is 0 only where the flat pair meets the dispersive one. tan(theta / 2)
+    is sin / (1 + cos), but 1 + cos rounds to 0 within 1e-8 of theta = +-pi."""
+    gap = wn - lam
     qy1 = -np.tan(theta / 2) * (wm - lam)
-    one_x, one_y = np.ones_like(wn - lam), np.ones_like(qy1)
-    px = np.stack([1 / (wn - lam), lam * wn / (wn - lam), one_x, one_x])
-    qy = np.stack([qy1, qy1, one_y, lam * wm])
+    px = np.stack([np.ones_like(gap), lam * wn, gap, gap])
+    qy = np.stack([qy1, qy1, np.ones_like(qy1), lam * wm])
     return px, qy
 
 
@@ -238,7 +232,7 @@ def _closed_form_half(family: str, theta: float, C: np.ndarray, lams: np.ndarray
             err = (v.reshape(-1, 4) @ C.T).reshape(v.shape) * d[rows, :, None, :]
             err -= lams[rows, :, :, None] * v
             resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
-        # a flat norm is >= 1 (one entry is 1); an infinite one zeroes its vector
+        # an infinite Grover flat norm zeroes its vector; a zero x3 one gives NaN
         failed[rows] = ~((resid <= _RESID_TOL).all(axis=-1) & np.isfinite(norms).all(axis=0))
     # row N - n is row n at m -> N - m, conjugated, with k = 3, 4 swapped
     m = -np.arange(N) % N
@@ -279,7 +273,7 @@ def coin_eigensystem(coin, N: int):
     block falls back; only the last result is cached, and it is read-only."""
     N = _check_lattice(N)
     coin = _walk_coin(coin)
-    return _eigensystem(*(_family_theta(coin) or (None, coin.entries.tobytes())), N)
+    return _eigensystem(*(_named_family(coin) or (None, coin.entries.tobytes())), N)
 
 
 @dataclass(frozen=True)
@@ -355,8 +349,8 @@ def _class_sums(coin, N: int, reps=None):
     by k within _DEGEN_TOL; a raw coin whose momentum orbits do not keep
     the block spectrum fails this."""
     lams, vecs, _, _ = coin_eigensystem(coin, N)
-    fam = _family_theta(coin)
-    symmetric = (fam[0] != "x3" if fam else
+    named = _named_family(coin)
+    symmetric = (named[0] in _GENERALIZED_GROVER if named else
                  bool((np.abs(lams - lams.transpose(1, 0, 2)) <= _DEGEN_TOL).all()))
     if reps is None:
         half = (N - 1) // 2

@@ -178,6 +178,27 @@ def test_coin_verify_rejects_family_theta_out_of_range(capsys, tmp_path):
     assert captured.err == "error: theta=4.0 out of range [-pi, pi]\n"
 
 
+def test_coin_verify_rejects_infinite_family_theta(capsys, tmp_path):
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps({"family": "p24y1", "theta": float("inf"),
+                                "entries_re": _family_matrix("p24y1", 0.7).tolist()}))
+    code = main(["coin", "verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: theta=inf out of range [-pi, pi]\n"
+
+
+def test_localize_takes_family_names_in_any_case(capsys):
+    args = ("localize", "pair", "--theta", "0.7", "--S", "U", "--Sprime", "D")
+    code, upper = run(capsys, *args, "--family", "P24Y1")
+    assert code == 0
+    code, lower = run(capsys, *args, "--family", "p24y1")
+    assert code == 0
+    # the JSON echoes the flag as given, as walk does
+    assert json.loads(upper)["family"] == "P24Y1"
+    assert json.loads(upper)["value"] == json.loads(lower)["value"]
+
+
 def test_walk_spectrum_coefficients(capsys):
     code, out = run(capsys, "walk", "spectrum", "--family", "p24y1", "--theta", "0.9",
                     "--N", "5", "--coefficients", "--format", "csv")
@@ -298,9 +319,10 @@ def test_walk_simulate_prints_the_library_time_average(capsys, family):
 
 def _parent_coefficient_rows(coin, N):
     # the per-row route: one c_coefficient call, so one eigensystem lookup, per row
-    from coinwalk.spectral import _family_theta, c_coefficient
+    from coinwalk.coins import _named_family
+    from coinwalk.spectral import c_coefficient
     from coinwalk.walk import CHIRALITIES
-    fam = _family_theta(coin)
+    fam = _named_family(coin)
     symmetric = fam is None or fam[0] != "x3"
     half = (N - 1) // 2
     reps = [(n, m) for n in range(half + 1) for m in range(half + 1)

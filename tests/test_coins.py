@@ -90,6 +90,18 @@ def test_coin_rejects_family_theta_out_of_range(theta):
         coin_from_json(obj)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf])
+def test_coin_rejects_infinite_family_theta(theta):
+    # the range check comes before the family matrix, which math.sin
+    # cannot build at an infinite theta
+    entries = coin_from_theta("p24y1", 0.7).entries
+    message = rf"^theta={theta} out of range \[-pi, pi\]$"
+    with pytest.raises(ValueError, match=message):
+        Coin(entries, family="p24y1", theta=theta)
+    with pytest.raises(ValueError, match=message):
+        coin_from_json({"family": "p24y1", "theta": theta, "entries_re": entries.real.tolist()})
+
+
 def test_endpoint_flagged_degenerate():
     assert coin_from_theta("p24y1", math.pi).degenerate
     assert not coin_from_theta("p24y1", 3.0).degenerate
@@ -338,7 +350,8 @@ def test_coin_rejects_entries_contradicting_family_theta():
         Coin(x3, family="p34x1", theta=0.7)
     with pytest.raises(ValueError, match="differ"):
         Coin(coin_from_theta("p24y1", 0.7).entries, family="p24y1", theta=0.7 + 1e-9)
-    with pytest.raises(ValueError, match="differ"):
+    # the range check comes first, and a NaN theta lies in no range
+    with pytest.raises(ValueError, match=r"theta=nan out of range \[-pi, pi\]"):
         Coin(x3, family="x3", theta=math.nan)
     # without a named family or a theta there is nothing to contradict
     assert Coin(x3, family="raw", theta=0.7).family == "raw"

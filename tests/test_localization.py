@@ -84,6 +84,20 @@ def test_theta_range_enforced():
         pbar_infinity_pair("p24y1", math.pi, "R", "R", QUICK)
 
 
+def test_family_names_are_case_blind():
+    upper, lower = pbar_matrix("P24Y1", 0.7), pbar_matrix("p24y1", 0.7)
+    assert upper.tobytes() == lower.tobytes()
+
+
+def test_family_names_are_checked_with_one_message():
+    with pytest.raises(ValueError) as want:
+        coin_from_theta("x1", 0.7)
+    with pytest.raises(ValueError) as got:
+        pbar_matrix("x1", 0.7)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("unknown family 'x1'")
+
+
 def test_grover_point_pair_value():
     # the Grover coin itself: every diagonal pair traps with probability 1/8
     for S in CHIRALITIES:

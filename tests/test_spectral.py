@@ -823,15 +823,36 @@ def test_eigenvalues_match_eig_to_a_few_eps(family, theta):
     assert np.abs(lams[..., :, None] - want[..., None, :]).min(axis=-1).max() <= 5e-15
 
 
-@pytest.mark.parametrize("theta", [1e-9, 1e-6, 1e-3, 0.7])
-@pytest.mark.parametrize("N", [21, 51])
-def test_x3_falls_back_on_row_zero_only(theta, N):
-    # x3's lambda = +1 factor divides by w^n - 1, so row n = 0 has no flat
-    # pair; every other block deflates its dispersive pair from the flat one
-    bad = coin_eigensystem(coin_from_theta("x3", theta), N)[2]
+@pytest.mark.parametrize("theta", [0.4, 0.7, -1.2, 2.99, 3.1, 1.5707])
+@pytest.mark.parametrize("N", [21, 51, 101])
+def test_x3_falls_back_on_block_zero_only(theta, N):
+    # x3 follows the one fallback rule of every family: only the block
+    # (0, 0), where lambda = +1 is also a dispersive eigenvalue, collides
+    lams, vecs, bad, U = coin_eigensystem(coin_from_theta("x3", theta), N)
     want = np.zeros((N, N), dtype=bool)
-    want[0] = True
+    want[0, 0] = True
     assert np.array_equal(bad, want)
+    assert _block_residuals(lams, vecs, U).max() <= _RESID_TOL
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("N", [21, 51])
+def test_x3_small_theta_falls_back_within_row_zero(theta, N):
+    # near theta = 0 the dispersive pair of row n = 0 lies within about
+    # theta of +1, so blocks of that row may fail the residual check; no
+    # block of another row does
+    bad = coin_eigensystem(coin_from_theta("x3", theta), N)[2]
+    assert bad[0, 0] and not bad[1:].any()
+
+
+def test_x3_flat_factor_is_finite_where_w_n_is_lambda():
+    # at w^n = lambda = +1 the flat vector px * qy is finite, and nonzero
+    # for m != 0 and theta != 0: px has no denominator
+    wm = np.exp(2j * np.pi * np.arange(1, 21) / 21)
+    for theta in (1e-9, 0.7, -2.0, 3.1):
+        px, qy = _FACTORS["x3"](theta, 1.0, np.ones_like(wm), wm)
+        v = px * qy
+        assert np.isfinite(v).all() and (np.abs(v).max(axis=0) > 0).all()
 
 
 def test_raw_pbar_matches_einsum_route():
