@@ -16,12 +16,12 @@ generalized Grover families reads I_aa = 1/4.
 
 At lambda = -1 every family's eigenvector factors into pure-x and pure-y
 terms, px * qy, the closed-form factors spectral._FACTORS gives the finite-N
-eigensystem. The y factor is qy(y) = c(y) (Q0 + Q1 e^{iy}) with one complex
-scalar c(y) common to the four entries and real 4-vectors Q0, Q1; c cancels
-from the integrand. Its ends P+- = Q0 +- Q1 at y = 0 and y = pi are read
-off the same factor as qy / qy[2]: entry 2 of P+- is +-1 in every family,
-so this is P+- up to a sign per end, and the integrand reads P+- only
-through the products P+-_a P+-_b.
+eigensystem. The y factor is a polynomial of degree one in e^{iy} (in
+e^{-iy} for p23z1) with real coefficients, qy(y) = c(y) (Q0 + Q1 e^{iy})
+with c = 1 or e^{-iy} common to the four entries and real 4-vectors Q0, Q1;
+c cancels from the integrand. Its ends P+- = Q0 +- Q1 are qy at y = 0 and
+y = pi up to a sign per end, and the integrand reads P+- only through the
+products P+-_a P+-_b.
 
 The integrand is then a ratio of two linear functions of cos y, whose y
 integral _integrals takes exactly. In x, x3's has a kink at x = pi, where the
@@ -34,8 +34,8 @@ M = 512 every family is within 4.4e-16 of M = 65536 at theta in {0, +-1e-9,
 +-1e-6, +-1e-3, 0.7, -2, +-1.5707, +-3.1}, x3 at |theta| <= 1e-6 within 1.5e-12.
 
 A call costs O(M), with no M x M array. One pbar_matrix call (all 16
-pairs) takes about 0.17 ms at M = 128, 0.25 ms at M = 512 and 0.53 ms at
-M = 2048 on one core of a 2-core Xeon with OpenBLAS (x3 at theta 0.7).
+pairs) takes about 0.1 ms at M = 128, 0.15 ms at M = 512 and 0.5 ms at
+M = 2048 on one core of a 2-core Xeon (x3 at theta 0.7).
 sweep_theta and theorem36_check call it once per theta point, in grid
 order, on the calling thread.
 """
@@ -103,30 +103,33 @@ def _integrals(family: str, theta: float, M: int) -> np.ndarray:
     the four variants sum to 4 Re(ux) Re(uy) / W with ux, uy the pair products
     of px, qy and W = |px|^2 . |qy|^2. On the y axis, qy = c(y) (Q0 + Q1 e^{iy}),
     and c cancels from uy / W. P+- = Q0 +- Q1, up to a sign per end that
-    drops out of every product below, is qy / qy[2] at y = 0 and pi, from the
-    same _FACTORS call as px. With
+    drops out of every product below, is qy at y = 0 and pi, from the same
+    _FACTORS call as px. With
     W / |c|^2 = A + B cos y with A +- B = |px|^2 . (P+-)^2, and
     Re(uy_ab) / |c|^2 = gamma + delta cos y with gamma +- delta = P+-_a P+-_b,
     the y means of (1 +- cos y) / W are exact, from the mean 1 / D of
     1 / (A + B cos y) with D = sqrt(A^2 - B^2):
         T+-(x) = (A -+ B + D) / ((A + D) D).
     What is left is the x integral of ux_ab (P+_a P+_b T+ + P-_a P-_b T-) / 2,
-    by the sin^4-mapped rule.
+    by the sin^4-mapped rule. Each of the 10 ux_ab with a <= b is summed
+    against w T+- by a numpy reduction, not a BLAS product, so the values
+    are the same bytes under every BLAS kernel.
 
     A +- B are sums of nonnegative terms, so nothing cancels in them, in
     D = sqrt(A + B) sqrt(A - B) or in T+-."""
     x, w = _sin4_rule(M)
     px, qy = _FACTORS[family](theta, -1.0, np.exp(1j * x), np.array([1.0, -1.0]))
-    R = np.concatenate([px.real, px.imag])                      # (8, M)
-    P = (qy / qy[2]).real.T                                     # (2, 4): P+, P-
-    Ap, Am = P**2 @ (R[:4] ** 2 + R[4:] ** 2)                   # A + B, A - B
+    P = qy.real.T                                               # (2, 4): P+, P-
+    # A + B, A - B
+    Ap, Am = (P[:, :, None] ** 2 * (px.real**2 + px.imag**2)).sum(axis=1)
     D = np.sqrt(Ap) * np.sqrt(Am)
     AD = (Ap + Am) / 2 + D
     T = np.stack([Am + D, Ap + D]) * (w / (AD * D))             # w T+, w T-
-    G = (R * T[:, None, :]) @ R.T                               # (2, 8, 8)
-    S = G[:, :4, :4] + G[:, 4:, 4:]                 # sum_x w T+- Re(px_a conj px_b)
-    I = (P[:, :, None] * P[:, None, :] * S).sum(axis=0) / (2 * M)
-    I = np.triu(I) + np.triu(I, 1).T
+    a, b = np.triu_indices(4)
+    ux = px.real[a] * px.real[b] + px.imag[a] * px.imag[b]      # (10, M)
+    S = (T[:, None, :] * ux).sum(axis=-1)           # sum_x w T+- Re(px_a conj px_b)
+    I = np.empty((4, 4))
+    I[a, b] = I[b, a] = (P[:, a] * P[:, b] * S).sum(axis=0) / (2 * M)
     I.setflags(write=False)
     return I
 

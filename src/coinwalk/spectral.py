@@ -5,14 +5,16 @@ D_{n,m} = diag(w^-n, w^n, w^-m, w^m), w = exp(2 pi i / N). For the four named
 coin families the eigenvalues have closed forms, ordered k = 1..4 as
 (-1, +1, e^{-i a}, e^{+i a}) with a in [0, pi]. The flat pair k = 1, 2 has
 closed eigenvectors px * qy, px a function of w^n alone and qy of w^m
-alone. _FACTORS holds the one formula per family; localization evaluates
-the same lambda = -1 factors, px on its x nodes and qy at the y ends 0 and
-pi, and here they are outer products of factors on the N momenta. Every
-family's dispersive pair k = 3, 4 is deflated from the unit flat pair. One
-batched dense eigensolve, _dense_eig, serves every other block: a family
-block whose vectors fail the residual check or whose eigenvalues collide is
-matched onto its closed-form eigenvalues, and every block of a raw coin is
-sorted by eigenvalue angle in (-pi, pi].
+alone. _FACTORS holds the one formula per family, at lambda = +-1 only: each
+entry is a polynomial in w^n, w^m and functions of theta, with no division,
+so a flat vector is finite at every momentum and theta. Localization
+evaluates the same lambda = -1 factors, px on its x nodes and qy at the y
+ends 0 and pi, and here they are outer products of factors on the N
+momenta. Every family's dispersive pair k = 3, 4 is deflated from the unit
+flat pair. One batched dense eigensolve, _dense_eig, serves every other
+block: a family block whose vectors fail the residual check or whose
+eigenvalues collide is matched onto its closed-form eigenvalues, and every
+block of a raw coin is sorted by eigenvalue angle in (-pi, pi].
 
 Every family coin is real, so conj D_{n,m} = D_{N-n,N-m} gives
 U(N-n, N-m) = conj U(n, m): conjugation takes an eigenpair (lam, v) to
@@ -84,31 +86,20 @@ def closed_form_eigenvalues(family: str, theta: float, zn, zm) -> np.ndarray:
 
 
 def _factors_y1(theta: float, lam, wn, wm):
-    """(px, qy), each (4, ...), with eigenvector px * qy at every unimodular
-    lam; the package evaluates it at lam = +-1 only and deflates the
-    dispersive pair. Written in half-angle variables so no denominator
-    vanishes at interior momenta for any theta in (-pi, pi). The ratios in
-    px[0] and qy[3] equal lam / wn and lam * wm at real lam only."""
+    """(px, qy), each (4, ...), with eigenvector px * qy at lam = +-1, in
+    the half-angle sin t and cos u of theta."""
     t, u = np.sin(theta / 2), np.cos(theta / 2)
-    A = u * lam / wn - t
-    B = u - lam * t * wm
-    one_x, one_y = np.ones_like(A), np.ones_like(B)
-    px = np.stack([(t * lam / wn - u) / (t - u * lam * wn) / A, 1 / A, one_x, one_x])
-    qy = np.stack([B, B, one_y, (u * lam * wm - t) / (u - t * lam / wm)])
+    a = u * lam - t * wn
+    b = u - lam * t * wm
+    px = np.stack([np.full_like(a, lam), wn, a, a])
+    qy = np.stack([b, b, np.ones_like(b), lam * wm])
     return px, qy
 
 
 def _factors_x1(theta: float, lam, wn, wm):
     t, u = np.sin(theta / 2), np.cos(theta / 2)
-    nx1 = u - t * lam / wn
-    dx2 = t - u * lam * wn
-    nx3 = t - u * lam / wn
-    dy1 = t - u * lam * wm
-    ny2 = u - lam * t * wm
-    dy3 = u - lam * t / wm
-    one_x, one_y = np.ones_like(nx1), np.ones_like(dy1)
-    px = np.stack([nx1 / dx2, one_x, -nx1, -nx3])
-    qy = np.stack([ny2 / dy1, one_y, 1 / dy1, 1 / dy3])
+    px = np.stack([np.full_like(wn, -lam), wn, t * lam - u * wn, u * lam - t * wn])
+    qy = np.stack([u - lam * t * wm, t - u * lam * wm, np.ones_like(wm), -lam * wm])
     return px, qy
 
 
@@ -130,7 +121,7 @@ def _factors_x3(theta: float, lam, wn, wm):
     return px, qy
 
 
-# (theta, lam, wn, wm) -> (px, qy); the eigenvector is px * qy
+# (theta, lam, wn, wm) -> (px, qy); the eigenvector at lam = +-1 is px * qy
 _FACTORS = {"p24y1": _factors_y1, "p34x1": _factors_x1,
             "p23z1": _factors_z1, "x3": _factors_x3}
 
@@ -220,20 +211,20 @@ def _closed_form_half(family: str, theta: float, C: np.ndarray, lams: np.ndarray
         rows = slice(n0, min(n0 + _ROWS, half + 1))
         v = vecs[rows]
         flat = np.empty((2,) + v.shape[:2] + (4,), dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for k, lam in enumerate((-1.0, 1.0)):
                 px, qy = _FACTORS[family](theta, lam, w[rows, None], w[None, :])
                 np.multiply(np.moveaxis(px, 0, -1), np.moveaxis(qy, 0, -1), out=flat[k])
-            norms = np.sqrt((flat.real**2 + flat.imag**2).sum(axis=-1))
-            flat /= norms[..., None]
+            # a flat vector is 0 only where the flat and dispersive pairs
+            # meet: 0 / 0 gives NaN, and NaN residuals fail the check
+            flat /= np.sqrt((flat.real**2 + flat.imag**2).sum(axis=-1, keepdims=True))
             v[..., :2, :] = np.moveaxis(flat, 0, 2)
             v[..., 2:, :] = _deflate(C, d[rows], lams[rows, :, :1:-1], *flat)
             # U v = d * (C v): one GEMM over the chunk's vectors
             err = (v.reshape(-1, 4) @ C.T).reshape(v.shape) * d[rows, :, None, :]
             err -= lams[rows, :, :, None] * v
             resid = np.sqrt((err.real**2 + err.imag**2).sum(axis=-1))
-        # an infinite Grover flat norm zeroes its vector; a zero x3 one gives NaN
-        failed[rows] = ~((resid <= _RESID_TOL).all(axis=-1) & np.isfinite(norms).all(axis=0))
+        failed[rows] = ~(resid <= _RESID_TOL).all(axis=-1)
     # row N - n is row n at m -> N - m, conjugated, with k = 3, 4 swapped
     m = -np.arange(N) % N
     mirrored = vecs[half + 1:]

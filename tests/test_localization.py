@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coinwalk
 from coinwalk.coins import COIN_FAMILIES, coin_from_theta
 from coinwalk.localization import (
     QuadratureSpec,
@@ -264,7 +270,8 @@ def test_flat_y_ends_match_factors(family, theta):
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_pbar_matrix_finite_next_to_pi(family):
     # 1 + cos(theta) rounds to 0 within about 1e-8 of pi, so no factor may
-    # divide by it; the y ends divide by u -+ t, about 1.1e-16 at +-pi/2
+    # divide by it; at +-pi/2, u -+ t is about 1.1e-16, and the x1 and y1
+    # factors hold it as a term of a sum, never as a divisor
     half = np.pi / 2
     for theta in (np.nextafter(np.pi, 0), np.pi - 1e-9,
                   half, np.nextafter(half, 0), np.nextafter(half, np.pi), 1.5707):
@@ -354,6 +361,25 @@ def test_x3_diagonal_matches_closed_form(theta, M):
     got = np.diag(pbar_matrix("x3", theta, QuadratureSpec(M)))
     bound = X3_M512_MISS.get(theta, 2 * EPS) if M == 512 else 2 * EPS
     assert np.abs(got - _x3_closed_form_diagonal(theta)).max() <= bound
+
+
+def test_pbar_matrix_bytes_do_not_depend_on_blas_kernel():
+    # the x sums are numpy reductions, not BLAS products, so OpenBLAS's SSE
+    # kernel gives the bytes this process gives. OPENBLAS_CORETYPE is read
+    # when the library loads, hence the second process
+    cases = [(f, th, M) for f in COIN_FAMILIES
+             for th in (0.0, 0.7, -2.0, math.pi - 1e-9, -1.5707) for M in (512, 2048)]
+    code = ("import json, sys\n"
+            "from coinwalk.localization import QuadratureSpec, pbar_matrix\n"
+            "for f, th, M in json.load(sys.stdin):\n"
+            "    print(pbar_matrix(f, th, QuadratureSpec(M)).tobytes().hex())\n")
+    path = [str(Path(coinwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases), env=env,
+                         capture_output=True, text=True, check=True)
+    want = [pbar_matrix(f, th, QuadratureSpec(M)).tobytes().hex() for f, th, M in cases]
+    assert run.stdout.split() == want
 
 
 def test_convergence_delta_needs_two_rules():

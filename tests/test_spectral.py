@@ -319,19 +319,15 @@ def test_p24y1_interior_vectors_match_published_pm_one_branches():
 
 def _factor_residuals(family, theta, zn, zm):
     """Relative residuals |U v - lam v| / |v| of v = px * qy at the momentum
-    pairs (zn, zm), one row per branch: lam = -1, +1 for every family, and
-    the closed-form e^{-+ia} for the Grover families, whose table holds at
-    every unimodular lam though the package evaluates it at +-1 only."""
+    pairs (zn, zm), one row per flat branch lam = -1, +1."""
     C = coin_from_theta(family, theta).entries
     wn, wm = np.exp(1j * zn), np.exp(1j * zm)
     U = np.stack([1 / wn, wn, 1 / wm, wm], axis=-1)[:, :, None] * C
-    dispersive = closed_form_eigenvalues(family, theta, zn, zm)[:, 2:].T
-    lams = [-1.0, 1.0] + ([] if family == "x3" else list(dispersive))
     out = []
-    for lam in lams:
+    for lam in (-1.0, 1.0):
         px, qy = _FACTORS[family](theta, lam, wn, wm)
         v = (px * qy).T
-        r = np.einsum("bij,bj->bi", U, v) - np.asarray(lam)[..., None] * v
+        r = np.einsum("bij,bj->bi", U, v) - lam * v
         out.append(np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1))
     return np.array(out)
 
@@ -340,27 +336,16 @@ def _factor_residuals(family, theta, zn, zm):
 def test_factors_are_eigenvectors_off_grid(family):
     # the one factor table serves both the finite-N grid and localization's
     # quadrature nodes; check it at those nodes, with both momentum signs,
-    # and at seeded momenta on no grid
+    # and at seeded momenta on no grid. The factors divide by nothing, so
+    # the residual stays at rounding at theta = +-pi/2 too
     rng = np.random.default_rng(21)
     seeded = rng.uniform(-np.pi, np.pi, (2, 200))
-
-    def momenta(x):
-        return np.concatenate([x, -x, seeded[0]]), np.concatenate([x[::-1], x, seeded[1]])
-
-    zn, zm = momenta(QuadratureSpec(64).nodes())
-    for theta in (-2.8, -0.9, 0.0, 1e-9, 0.33, 1.2, 2.6, 3.1):
-        assert _factor_residuals(family, theta, zn, zm).max() < 1e-12
-    for theta in (-1.571, 1.571):
-        res = _factor_residuals(family, theta, zn, zm)
-        assert res[:2].max() < 1e-12
-        # near theta = +-pi/2 the dispersive formulas lose digits where
-        # zn ~ -zm (about 5e-12 here), and more (3.2e-9) where zn and zm
-        # also lie near an edge, as at the sin^4-mapped nodes. The package
-        # reads the table at lambda = +-1 only, deflating the dispersive
-        # pair, so this check of the formulas keeps the midpoints
-        # (j + 1/2) pi / 64
-        res = _factor_residuals(family, theta, *momenta((np.arange(64) + 0.5) * np.pi / 64))
-        assert res.max() < _RESID_TOL
+    x = QuadratureSpec(64).nodes()
+    zn, zm = np.concatenate([x, -x, seeded[0]]), np.concatenate([x[::-1], x, seeded[1]])
+    half = np.pi / 2
+    for theta in (-2.8, -0.9, 0.0, 1e-9, 0.33, 1.2, 2.6, 3.1, -1.571, 1.571,
+                  half, -half, np.nextafter(half, 0)):
+        assert _factor_residuals(family, theta, zn, zm).max() < 1e-15
 
 
 def test_x3_eigen_angle_relation():
