@@ -202,9 +202,12 @@ class Coin:
 
 
 def _named_family(coin) -> tuple[str, float] | None:
-    """(family, theta) of a named family Coin with a theta; None for any other coin."""
-    named = isinstance(coin, Coin) and coin.family in COIN_FAMILIES and coin.theta is not None
-    return (coin.family, float(coin.theta)) if named else None
+    """(family, theta) of a named family Coin with a theta, the family
+    lowercased as _family_name does; None for any other coin."""
+    if not isinstance(coin, Coin) or coin.theta is None:
+        return None
+    family = str(coin.family).lower()
+    return (family, float(coin.theta)) if family in COIN_FAMILIES else None
 
 
 def grover_coin() -> Coin:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coinwalk
 from coinwalk.cli import main
 from coinwalk.coins import _family_matrix
 
@@ -166,6 +171,36 @@ def test_localize_sweep_deterministic_bytes(capsys, tmp_path):
 def test_theta_out_of_range_exit_2(capsys):
     code, _ = run(capsys, "coin", "gen", "--family", "p24y1", "--theta", "9.9")
     assert code == 2
+
+
+def _python(*argv):
+    """A fresh interpreter with this coinwalk on its path; returns its stdout bytes."""
+    path = [str(Path(coinwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          check=True).stdout
+
+
+def test_cli_process_output_survives_the_exit_freeze(tmp_path):
+    # the process freezes its heap at exit; stdout and the --out file are
+    # written in full before that, byte for byte what main writes in process
+    args = ["localize", "sweep", "--family", "x3", "--points", "3", "--S", "all",
+            "--format", "csv"]
+    assert main(args + ["--out", str(tmp_path / "in_process.csv")]) == 0
+    stdout = _python("-m", "coinwalk.cli", *args)
+    assert _python("-m", "coinwalk.cli", *args, "--out", str(tmp_path / "out.csv")) == b""
+    want = (tmp_path / "in_process.csv").read_bytes()
+    assert stdout == want == (tmp_path / "out.csv").read_bytes()
+
+
+@pytest.mark.parametrize("module, frozen", [("coinwalk.cli", True), ("coinwalk", False)])
+def test_only_the_cli_freezes_the_heap_at_exit(module, frozen):
+    # exit handlers run last in, first out: a probe registered before the
+    # import runs after any hook the import registers
+    probe = ("import atexit, gc\n"
+             "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+             f"import {module}\n")
+    assert (int(_python("-c", probe)) > 0) == frozen
 
 
 def test_coin_verify_rejects_family_theta_out_of_range(capsys, tmp_path):

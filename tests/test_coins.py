@@ -358,6 +358,24 @@ def test_coin_rejects_entries_contradicting_family_theta():
     assert Coin(x3, family="p34x1").theta is None
 
 
+@pytest.mark.parametrize("family", ["p24y1", "P24Y1", "P24y1"])
+def test_named_family_label_is_case_blind_at_the_endpoint(family):
+    from coinwalk.walk import evolve, initial_state
+    obj = coin_to_json(coin_from_theta("p24y1", math.pi))
+    back = coin_from_json({**obj, "family": family})
+    assert back.degenerate
+    assert back.family == family      # the label is kept as given
+    with pytest.raises(ValueError, match="excludes the degenerate theta = [+]-pi coins"):
+        evolve(initial_state(5, "R"), back, 1)
+
+
+@pytest.mark.parametrize("family", ["p24y1", "P24Y1", "P24y1"])
+def test_named_family_label_is_case_blind_against_the_entries(family):
+    obj = coin_to_json(coin_from_theta("p24y1", 0.7))
+    with pytest.raises(ValueError, match=rf"entries differ from {family}\(theta=0.3\)"):
+        coin_from_json({**obj, "family": family, "theta": 0.3})
+
+
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 @pytest.mark.parametrize("theta", [-math.pi, -math.pi / 2, 0.0, 0.7, 3.0, math.pi])
 def test_named_coins_load_through_json_text(family, theta):

@@ -21,7 +21,7 @@ from coinwalk.localization import (
     theta_grid,
     _integrals,
 )
-from coinwalk.spectral import _FACTORS, finite_N_pbar_matrix
+from coinwalk.spectral import _FACTORS, coin_eigensystem, finite_N_pbar_matrix
 from coinwalk.walk import CHIRALITIES
 
 from c_table_oracle import c_table_p24y1
@@ -400,6 +400,21 @@ def test_finite_N_converges_to_quadrature_value():
             assert diff < prev
         prev = diff
     assert prev < 0.02
+
+
+@pytest.mark.parametrize("family", GROVER_FAMILIES)
+@pytest.mark.parametrize("theta", [-3.0, -2.0, -1.0, -0.3, 0.3, 0.7, 2.5, 3.0])
+def test_finite_N_flat_cluster_is_the_signed_integral(family, theta):
+    # the lambda = -1 projectors summed over all N^2 blocks, over N^2, are
+    # the integral's rectangle rule; a sum of projectors does not depend on
+    # the basis a degenerate block picks. x3 converges only as 1/N^2, and
+    # near theta = 1.2 a dispersive band comes close to -1 (2-4e-14 off)
+    N = 51
+    lams, vecs, _, _ = coin_eigensystem(coin_from_theta(family, theta), N)
+    v = vecs[np.abs(lams + 1) < 1e-9]
+    cluster = np.einsum("ja,jb->ab", v, v.conj()) / N**2
+    assert np.abs(cluster - _integrals(family, theta, 512)).max() <= 2e-15
+    assert np.abs(cluster.imag).max() < 1e-16
 
 
 def test_sweep_rows_structure():
