@@ -226,12 +226,21 @@ def _block(fam: str, kind: str, sign: int, x, z) -> np.ndarray:
     return b[..., c[:, None], c]
 
 
+def _set_tag(tag: str) -> tuple[str, int]:
+    """(family letter, j) of a bare pattern-set tag; ValueError unless tag
+    is one of SET_TAGS."""
+    if tag not in SET_TAGS:
+        raise ValueError(f"unknown set tag {tag!r}")
+    return tag[0], int(tag[1])
+
+
 def set_member_from_theta(tag: str, theta) -> np.ndarray:
     """Member of a bare pattern set (x1..z4) at parameter theta:
     x = sin(theta)/2 and z = sign (1 + cos(theta))/2 lie on the defining
     variety. theta may be complex, or an array giving a (..., 4, 4) stack."""
-    kind, sign = _J_KIND_SIGN[int(tag[1])]
-    return _block(tag[0], kind, sign, np.sin(theta) / 2, sign * (1 + np.cos(theta)) / 2)
+    fam, j = _set_tag(tag)
+    kind, sign = _J_KIND_SIGN[j]
+    return _block(fam, kind, sign, np.sin(theta) / 2, sign * (1 + np.cos(theta)) / 2)
 
 
 def _check_theta(theta) -> float:
@@ -251,13 +260,13 @@ def _family_name(family) -> str:
 
 def _family_matrix(family: str, theta: float) -> np.ndarray:
     """The matrix of a named walk family at theta (see coin_from_theta)."""
-    tag = family[-2:]
-    kind, sign = _J_KIND_SIGN[int(tag[1])]   # sign is +1 for all four
+    fam, j = _set_tag(family[-2:])
+    kind, sign = _J_KIND_SIGN[j]             # sign is +1 for all four
     s, c = math.sin(theta), math.cos(theta)
     # z of z1(pi - theta) is (1 + cos(pi - theta))/2 = (1 - c)/2; taking the
     # right-hand side avoids rounding pi - theta
-    m = _block(tag[0], kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
-    return _LEFT[tag[0]] @ m if family in _GENERALIZED_GROVER else m
+    m = _block(fam, kind, sign, s / 2, (1 - c if family == "p23z1" else 1 + c) / 2)
+    return _LEFT[fam] @ m if family in _GENERALIZED_GROVER else m
 
 
 def coin_from_theta(family: str, theta: float) -> Coin:
@@ -286,8 +295,7 @@ def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
     ValueError. z_branch is the integer 1 or -1 (numpy integers pass, bool
     does not).
     """
-    if tag not in SET_TAGS:
-        raise ValueError(f"unknown set tag {tag!r}")
+    fam, j = _set_tag(tag)
     if isinstance(r, bool):
         raise ValueError(f"r must be a Fraction, an integer or a string, got {r!r}")
     n = _index(r)     # a numpy integer as a Python int, so the entries hold ints
@@ -297,10 +305,10 @@ def coin_rational(tag: str, r: Fraction | int | str, z_branch: int = 1) -> Coin:
     z_branch = _index(z_branch)
     if z_branch not in (1, -1):
         raise ValueError("z_branch must be +1 or -1")
-    kind, sign = _J_KIND_SIGN[int(tag[1])]
+    kind, sign = _J_KIND_SIGN[j]
     x = (r**2 - 1) / (2 * (r**2 + 1))
     z = Fraction(sign, 2) + z_branch * r / (r**2 + 1)
-    exact = _block(tag[0], kind, sign, x, z)
+    exact = _block(fam, kind, sign, x, z)
     return Coin(exact.astype(float), family=tag, r=r, exact=tuple(map(tuple, exact)))
 
 
@@ -562,13 +570,12 @@ def chain_sets(chain_id: str) -> list[tuple[str, int, bool]]:
 def in_pattern_set(A, tag: str, left: bool = False, tol: float = 1e-9) -> bool:
     """Membership of A in the bare pattern set `tag` (x1..z4); with left=True
     the set is premultiplied by its family's generalized-Grover factor."""
-    if tag not in SET_TAGS:
-        raise ValueError(f"unknown set tag {tag!r}")
+    fam, j = _set_tag(tag)
     A = np.asarray(A, dtype=complex)
     if A.shape != (4, 4):
         raise ValueError("in_pattern_set expects a 4x4 matrix")
-    res = _residuals(A[None], [_SET_TRANSFORM[tag[0], bool(left)]])
-    return bool(res[0, 0, int(tag[1]) - 1] <= tol)
+    res = _residuals(A[None], [_SET_TRANSFORM[fam, bool(left)]])
+    return bool(res[0, 0, j - 1] <= tol)
 
 
 def group_closure_sample(chain_id: str, count: int, seed: int) -> dict:

@@ -34,10 +34,16 @@ eigensystem, the last, keyed by (family, theta, N) for a family coin and by
 several times in a row, and memory stays bounded by one eigensystem. The
 cached arrays are shared with every caller, so they are read-only.
 
-The degeneracy classes and their sums come from one routine, _class_sums:
-it decides the n <-> m fold, builds each class through omega_class and
-rejects a class whose members' spectra differ from its representative's.
-c_coefficient reads one class from it and coefficient_rows all of them.
+A degeneracy class is every momentum with one representative on one label
+grid, _fold: q -> min(q, N - q) on each axis, and the pair sorted when the
+classes fold n <-> m. Every coin, named or raw, folds exactly when its block
+spectra are n <-> m symmetric within _DEGEN_TOL; the Grover families'
+closed-form eigenvalues always are, and x3's only within about 1e-9 of
+theta = +-pi/2. One routine, _class_sums, decides the fold, sums every class
+in one pass over the N^2 blocks and rejects a class whose members' spectra
+differ from its representative's. c_coefficient reads one class from it,
+coefficient_rows all of them, and omega_class lists a class's members off
+the same grid.
 """
 
 from __future__ import annotations
@@ -302,58 +308,60 @@ class DegeneracyClass:
     members: tuple[tuple[int, int], ...]
 
 
+def _fold(N: int, symmetric: bool):
+    """The class representative (rn, rm) of every momentum, two (N, N)
+    index arrays: q -> min(q, N - q) on each axis, and the pair sorted when
+    the classes fold n <-> m. A class is every momentum with one
+    representative, and row-major order lists its members sorted."""
+    q = np.minimum(np.arange(N), N - np.arange(N))
+    rn, rm = np.meshgrid(q, q, indexing="ij")
+    return (np.minimum(rn, rm), np.maximum(rn, rm)) if symmetric else (rn, rm)
+
+
+def _check_representative(n: int, m: int, N: int) -> tuple[int, int]:
+    """(n, m) as ints; ValueError unless both are integers in 0..(N-1)/2."""
+    n, m = _index(n), _index(m)
+    half = (N - 1) // 2
+    if n is None or m is None or not (0 <= n <= half and 0 <= m <= half):
+        raise ValueError("representative must be integers 0 <= n, m <= (N-1)/2")
+    return n, m
+
+
 def omega_class(n: int, m: int, N: int, symmetric: bool = True) -> DegeneracyClass:
     """Degeneracy class of a representative (n, m), 0 <= n, m <= (N-1)/2.
 
     Block spectra depend on the momentum cosines only, so each index folds as
-    q -> N - q; symmetric=True also folds n <-> m (the generalized Grover
-    families, whose spectra are symmetric in the two momenta), while
-    symmetric=False keeps the axes separate (the x3 family). N is a lattice
-    side the walk takes. _class_sums decides the fold for a coin and checks
-    each class against the block spectra."""
+    q -> N - q; symmetric=True also folds n <-> m, symmetric=False keeps the
+    axes apart. N is a lattice side the walk takes. The members are read off
+    the label grid of _fold; _class_sums folds a coin's classes n <-> m
+    exactly when its block spectra are n <-> m symmetric."""
     N = _check_lattice(N)
-    half = (N - 1) // 2
-    n, m = _index(n), _index(m)
-    if n is None or m is None or not (0 <= n <= half and 0 <= m <= half):
-        raise ValueError("representative must be integers 0 <= n, m <= (N-1)/2")
-
-    def orbit(a, b):
-        return {(aa % N, bb % N) for aa in (a, N - a) for bb in (b, N - b)}
-
-    members = orbit(n, m)
-    if symmetric:
-        members |= orbit(m, n)
-    return DegeneracyClass((n, m), tuple(sorted(members)))
+    n, m = _check_representative(n, m, N)
+    rn, rm = _fold(N, symmetric)
+    members = np.argwhere((rn == rn[n, m]) & (rm == rm[n, m])).tolist()
+    return DegeneracyClass((n, m), tuple(map(tuple, members)))
 
 
-def _class_sums(coin, N: int, reps=None):
+def _class_sums(coin, N: int, rep=None):
     """The degeneracy classes of coin and their sums: (representatives,
     sums (G, 4, 4, 4) indexed [class, k, a, b]) of v_a conj(v_b) over the
-    k-th unit eigenvectors of each class's members, for the representatives
-    reps, by default every one (n <= m when the classes fold).
+    k-th unit eigenvectors of each class's members, for every class (n <= m
+    when the classes fold) or for the one class of the representative rep.
 
-    This is the one place where the classes meet the block spectra. A
-    family coin folds n <-> m unless it is x3. A raw coin folds when every
-    block (n, m) lists the eigenvalues of block (m, n), k by k, within
-    _DEGEN_TOL. A class sum adds the k-th vectors of its members, so
-    ValueError unless every member lists its representative's eigenvalues k
-    by k within _DEGEN_TOL; a raw coin whose momentum orbits do not keep
-    the block spectrum fails this."""
+    This is the one place where the classes meet the block spectra. Every
+    coin, named or raw, folds n <-> m when each block (n, m) lists the
+    eigenvalues of block (m, n), k by k, within _DEGEN_TOL. A class sum adds
+    the k-th vectors of its members, so ValueError unless every member lists
+    its representative's eigenvalues k by k within _DEGEN_TOL; a raw coin
+    whose momentum orbits do not keep the block spectrum fails this."""
     lams, vecs, _, _ = coin_eigensystem(coin, N)
-    named = _named_family(coin)
-    symmetric = (named[0] in _GENERALIZED_GROVER if named else
-                 bool((np.abs(lams - lams.transpose(1, 0, 2)) <= _DEGEN_TOL).all()))
-    if reps is None:
-        half = (N - 1) // 2
-        reps = [(n, m) for n in range(half + 1) for m in range(half + 1)
-                if not symmetric or n <= m]
-    classes = [omega_class(n, m, N, symmetric=symmetric) for n, m in reps]
-    ns, ms = zip(*(nm for cls in classes for nm in cls.members))
-    labels = np.repeat(np.arange(len(classes)), [len(cls.members) for cls in classes])
-    rn, rm = np.array([cls.representative for cls in classes])[labels].T
-    if (np.abs(lams[ns, ms] - lams[rn, rm]) > _DEGEN_TOL).any():
+    rn, rm = _fold(N, bool((np.abs(lams - lams.transpose(1, 0, 2)) <= _DEGEN_TOL).all()))
+    label = rn * N + rm                            # the representative's flat index
+    keep = np.full((N, N), True) if rep is None else label == label[_check_representative(*rep, N)]
+    if (np.abs(lams[keep] - lams.reshape(-1, 4)[label[keep]]) > _DEGEN_TOL).any():
         raise ValueError("a degeneracy class mixes blocks of different spectra")
-    return [cls.representative for cls in classes], _group_sums(vecs[ns, ms], labels, len(classes))
+    reps, labels = np.unique(label[keep], return_inverse=True)
+    return [divmod(r, N) for r in reps.tolist()], _group_sums(vecs[keep], labels, len(reps))
 
 
 def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) -> complex:
@@ -369,7 +377,7 @@ def c_coefficient(coin, S_prime: str, S: str, n: int, m: int, k: int, N: int) ->
     k = _index(k)
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be an integer in 1..4")
-    sums = _class_sums(coin, N, [(n, m)])[1]
+    sums = _class_sums(coin, N, (n, m))[1]
     return complex(sums[0, k - 1, chirality_index(S_prime) - 1, chirality_index(S) - 1])
 
 

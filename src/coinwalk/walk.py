@@ -71,27 +71,33 @@ def _check_lattice(N: int) -> int:
     return n
 
 
-def _check_coords(x: int, y: int, N: int) -> int:
-    """(N - 1) // 2, after checking that (x, y) lies on the centered lattice."""
-    half = (N - 1) // 2
-    if not (-half <= x <= half and -half <= y <= half):
+def _check_coords(x: int, y: int, N: int) -> tuple[int, int, int]:
+    """(x, y, (N - 1) // 2) with x and y as ints, after checking that (x, y)
+    is a vertex of the centered lattice: coordinates follow the package's
+    integer rule (numpy integers pass, bool and float raise ValueError)."""
+    ix, iy, half = _index(x), _index(y), (N - 1) // 2
+    if ix is None or iy is None:
+        raise ValueError(f"coordinates must be integers, got ({x!r},{y!r})")
+    if not (-half <= ix <= half and -half <= iy <= half):
         raise ValueError(f"({x},{y}) outside the centered lattice of side {N}")
-    return half
+    return ix, iy, half
 
 
 def index_of(S: str, x: int, y: int, N: int) -> int:
     """1-based canonical index 4Ny + 4x + l(S) + 2N^2 - 2."""
-    _check_lattice(N)
-    _check_coords(x, y, N)
+    N = _check_lattice(N)
+    x, y, _ = _check_coords(x, y, N)
     return 4 * N * y + 4 * x + chirality_index(S) + 2 * N * N - 2
 
 
 def coords_of(w: int, N: int) -> tuple[str, int, int]:
-    """Inverse of index_of."""
-    _check_lattice(N)
-    if not (1 <= w <= 4 * N * N):
+    """Inverse of index_of. w follows the package's integer rule."""
+    N = _check_lattice(N)
+    if (q := _index(w)) is None:
+        raise ValueError(f"index must be an integer, got {w!r}")
+    if not (1 <= q <= 4 * N * N):
         raise ValueError(f"index {w} outside 1..4N^2")
-    q = w - 1
+    q -= 1
     s = q % 4
     q //= 4
     half = (N - 1) // 2
@@ -114,7 +120,7 @@ class WalkState:
         return float(np.linalg.norm(self.amps))
 
     def amplitude(self, S: str, x: int, y: int) -> complex:
-        half = _check_coords(x, y, self.N)
+        x, y, half = _check_coords(x, y, self.N)
         return complex(self.amps[chirality_index(S) - 1, x + half, y + half])
 
     def to_vector(self) -> np.ndarray:
@@ -221,7 +227,7 @@ def _abs2(a: np.ndarray) -> np.ndarray:
 
 def probability_at(state: WalkState, x: int, y: int) -> float:
     """P_t((x,y)) = sum over chirality of |amplitude|^2."""
-    half = _check_coords(x, y, state.N)
+    x, y, half = _check_coords(x, y, state.N)
     # np.add.reduce is the reduction .sum() runs, bit for bit, without the
     # method's Python-level dispatch
     return float(np.add.reduce(_abs2(state.amps[:, x + half, y + half])))
@@ -287,5 +293,5 @@ def time_averaged_chirality_profile(C, N: int, S: str, T: int,
     """Per-chirality time-averaged probabilities at a vertex over t < T,
     (4,) array ordered R, L, U, D. Checks its arguments as simulate does."""
     state, C, T = _start(C, N, S, T)
-    half = _check_coords(x, y, N)
+    x, y, half = _check_coords(x, y, N)
     return _time_average((_abs2(s.amps[:, x + half, y + half]) for s in _orbit(state, C)), T)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -26,6 +27,7 @@ from coinwalk.coins import (
     coin_to_json,
     grover_coin,
     group_closure_sample,
+    in_pattern_set,
     is_orthogonal,
     is_permutative,
     is_unitary,
@@ -626,6 +628,18 @@ def test_classify_batch_errors_non_finite_and_empty():
 def test_classify_batch_errors_rejects_non_batch_shapes(shape):
     with pytest.raises(ValueError, match=r"expects a \(B, 4, 4\) batch"):
         classify_batch_errors(np.zeros(shape))
+
+
+@pytest.mark.parametrize("tag", ["q9", "X1", "x5", "x0", "x", "", "x1x", 3, None])
+@pytest.mark.parametrize("call", [
+    lambda tag: set_member_from_theta(tag, 0.7),
+    lambda tag: coin_rational(tag, 2),
+    lambda tag: in_pattern_set(np.eye(4), tag),
+], ids=["set_member_from_theta", "coin_rational", "in_pattern_set"])
+def test_unknown_set_tag_is_one_value_error(call, tag):
+    # one tag check for every reader of a pattern-set tag, with one message
+    with pytest.raises(ValueError, match=f"^unknown set tag {re.escape(repr(tag))}$"):
+        call(tag)
 
 
 def test_in_pattern_set_rejects_non_4x4():

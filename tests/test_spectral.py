@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk.coins import COIN_FAMILIES, coin_from_theta, grover_coin, set_member_from_theta
+from coinwalk.coins import (
+    COIN_FAMILIES,
+    _named_family,
+    coin_from_theta,
+    grover_coin,
+    set_member_from_theta,
+)
 from coinwalk.localization import QuadratureSpec
 from coinwalk.spectral import (
     _DEGEN_TOL,
     _FACTORS,
     _RESID_TOL,
+    _class_sums,
     _cluster_circle,
     _dense_eig,
     _eigensystem,
@@ -634,10 +641,14 @@ def test_c_coefficient_is_its_coefficient_rows_entry(family, raw):
         assert np.array([c.real, c.imag]).tobytes() == np.array(rows[S, Sp, n, m, k]).tobytes()
 
 
-@pytest.mark.parametrize("family, theta", [("x3", 0.4), ("p24y1", -math.pi / 2)])
+@pytest.mark.parametrize("family, theta", [
+    ("x3", 0.4), ("p24y1", -math.pi / 2), ("x3", math.pi / 2), ("x3", -math.pi / 2),
+    ("x3", math.pi / 2 - 1e-10), ("x3", math.pi / 2 - 1e-8)])
 def test_raw_coin_folds_like_its_family(family, theta):
-    # a raw coin folds n <-> m only when its block spectra are symmetric:
-    # the raw x3 array keeps the axes apart, the raw Grover array folds
+    # every coin folds n <-> m exactly when its block spectra are symmetric:
+    # the raw x3 array keeps the axes apart, the raw Grover array folds, and
+    # x3 folds within the eigenvalue tolerance of theta = +-pi/2, whether it
+    # comes as a family coin or as its raw array
     coin = coin_from_theta(family, theta)
     N = 9
 
@@ -645,6 +656,68 @@ def test_raw_coin_folds_like_its_family(family, theta):
         return [row[:5] for row in coefficient_rows(C, N)]
 
     assert reps(coin.entries) == reps(coin)
+    folds = family != "x3" or abs(abs(theta) - math.pi / 2) < 1e-9
+    assert len(reps(coin)) == 16 * 4 * (15 if folds else 25)
+
+
+def _per_class_sums(coin, N):
+    # the per-class route that the label grid replaced: a set orbit per
+    # class, a gather of its sorted members and one _group_sums call, with
+    # the fold decided by family name for a family coin and by the block
+    # spectra for a raw one
+    lams, vecs, _, _ = coin_eigensystem(coin, N)
+    named = _named_family(coin)
+    symmetric = (named[0] != "x3" if named else
+                 bool((np.abs(lams - lams.transpose(1, 0, 2)) <= _DEGEN_TOL).all()))
+    half = (N - 1) // 2
+    reps = [(n, m) for n in range(half + 1) for m in range(half + 1)
+            if not symmetric or n <= m]
+    classes = []
+    for n, m in reps:
+        orbit = {(a % N, b % N) for a in (n, N - n) for b in (m, N - m)}
+        classes.append(sorted(orbit | {(b, a) for a, b in orbit} if symmetric else orbit))
+    ns, ms = zip(*(nm for cls in classes for nm in cls))
+    labels = np.repeat(np.arange(len(classes)), [len(cls) for cls in classes])
+    return reps, _group_sums(vecs[ns, ms], labels, len(classes))
+
+
+@pytest.mark.parametrize("N", [9, 51])
+@pytest.mark.parametrize("coin", [
+    *(f"{family}@{theta}" for family in COIN_FAMILIES for theta in (0.7, -2.3)),
+    "grover_raw", "x3_raw"])
+def test_class_sums_equal_the_per_class_route(coin, N):
+    # the label grid sums every class in one pass over the blocks in
+    # row-major order, which is each class's sorted member order, so its
+    # representatives and sums are the per-class route's bit for bit
+    if coin == "grover_raw":
+        C = grover_coin().entries
+    elif coin == "x3_raw":
+        C = coin_from_theta("x3", 0.4).entries
+    else:
+        family, theta = coin.split("@")
+        C = coin_from_theta(family, float(theta))
+    reps, sums = _class_sums(C, N)
+    want_reps, want = _per_class_sums(C, N)
+    assert reps == want_reps
+    assert all(type(n) is int and type(m) is int for n, m in reps)
+    assert sums.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("N", [3, 5, 9, 15, 51])
+def test_omega_class_is_the_set_orbit(N, symmetric):
+    # every representative, n > m included: the members read off the label
+    # grid are the sorted set orbit of (n, m) under q -> N - q on each axis,
+    # and under n <-> m when the classes fold
+    half = (N - 1) // 2
+    for n in range(half + 1):
+        for m in range(half + 1):
+            orbit = {(a % N, b % N) for a in (n, N - n) for b in (m, N - m)}
+            if symmetric:
+                orbit |= {(b, a) for a, b in orbit}
+            cls = omega_class(n, m, N, symmetric=symmetric)
+            assert cls.representative == (n, m)
+            assert cls.members == tuple(sorted(orbit)), (n, m)
 
 
 @pytest.mark.parametrize("coin", ["grover_raw", "x3", "x3_raw"])
@@ -925,6 +998,22 @@ def test_raw_class_with_mixed_spectra_rejected():
 def test_quantum_numbers_must_be_integers(call):
     with pytest.raises(ValueError, match="integer"):
         call(coin_from_theta("p24y1", 0.7))
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (0, 3), (-1, 0), (0, 5), (1.0, 0), (0, True),
+                                  (np.float64(1), 0)])
+@pytest.mark.parametrize("call", [
+    lambda c, n, m: omega_class(n, m, 5),
+    lambda c, n, m: omega_class(n, m, 5, symmetric=False),
+    lambda c, n, m: c_coefficient(c, "R", "R", n, m, 1, 5),
+    lambda c, n, m: c_coefficient(c.entries, "R", "R", n, m, 1, 5),
+], ids=["omega", "omega_unfolded", "c", "c_raw"])
+def test_representative_must_be_on_the_half_grid(call, n, m):
+    # checked before the label grid is read, so neither a float nor an
+    # index past (N-1)/2 reaches it
+    message = r"^representative must be integers 0 <= n, m <= \(N-1\)/2$"
+    with pytest.raises(ValueError, match=message):
+        call(coin_from_theta("x3", 0.7), n, m)
 
 
 @pytest.mark.parametrize("t", [2.5, -3, float("nan"), 3.0, True])

@@ -391,6 +391,46 @@ def test_probability_at_rejects_outside_vertices():
             probability_at(s, x, y)
 
 
+_COORD_CALLS = {
+    "index_of": lambda x, y: index_of("R", x, y, 5),
+    "amplitude": lambda x, y: initial_state(5, "R").amplitude("R", x, y),
+    "probability_at": lambda x, y: probability_at(initial_state(5, "R"), x, y),
+    "simulate": lambda x, y: simulate(coin_from_theta("x3", 0.7), 5, "R", 3, x, y),
+    "chirality_profile": lambda x, y: time_averaged_chirality_profile(
+        coin_from_theta("x3", 0.7), 5, "R", 3, x, y),
+}
+
+
+@pytest.mark.parametrize("x, y", [(0.5, 0), (True, 0), (0.0, 0), (0, 1.0),
+                                  (np.float64(1), 0), (0, "1"), (None, 0)])
+@pytest.mark.parametrize("call", _COORD_CALLS.values(), ids=_COORD_CALLS)
+def test_coordinates_follow_the_integer_rule(call, x, y):
+    # a float or bool coordinate is not truncated or read as 0 / 1
+    with pytest.raises(ValueError, match=r"^coordinates must be integers, got \("):
+        call(x, y)
+
+
+@pytest.mark.parametrize("call", _COORD_CALLS.values(), ids=_COORD_CALLS)
+def test_coordinates_take_numpy_integers(call):
+    want = call(1, -2)
+    got = call(np.int64(1), np.int8(-2))
+    if isinstance(want, tuple):                 # simulate: probs, average, state
+        assert got[:2] == want[:2] and np.array_equal(got[2].amps, want[2].amps)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("w", [3.0, 0.5, True, None, "3"])
+def test_coords_of_index_follows_the_integer_rule(w):
+    with pytest.raises(ValueError, match="^index must be an integer, got "):
+        coords_of(w, 5)
+
+
+def test_coords_of_takes_numpy_integers():
+    assert coords_of(np.int64(51), 5) == coords_of(51, 5) == ("U", 0, 0)
+    assert all(type(v) is int for v in coords_of(np.uint16(100), 5)[1:])
+
+
 @pytest.mark.parametrize("N", [5, 65])
 def test_step_and_probability_call_no_public_walk_function(monkeypatch, N):
     # the traced benchmark wraps every public coinwalk.walk function, so a
